@@ -20,6 +20,7 @@ from .embedding import (
     Catalog,
     KeywordSet,
     compose_enhanced,
+    cosine_filter,
     load_catalog,
     read_pairs,
     save_catalog,
@@ -79,7 +80,7 @@ def cmd_enhance(args) -> None:
 
 
 def cmd_filter_pairs(args) -> None:
-    kept = [p for p in read_pairs(args.pairs) if p.cosine > args.threshold]
+    kept = cosine_filter(read_pairs(args.pairs), args.threshold)
     if args.out:
         write_pairs(kept, args.out)
     else:

@@ -219,10 +219,16 @@ def write_pairs(pairs: Iterable[PairRecord], path: str | Path) -> None:
 def read_pairs(path: str | Path) -> list[PairRecord]:
     out: list[PairRecord] = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            left, right, kind, cos = line.split("\t")
-            out.append(PairRecord(left, right, kind, float(cos)))
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
+            left, right, kind, cos = fields
+            try:
+                out.append(PairRecord(left, right, kind, float(cos)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out

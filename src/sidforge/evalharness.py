@@ -125,37 +125,42 @@ def synth_catalog(spec: SyntheticSpec) -> SynthBundle:
         if spec.collapse_points else None
     )
 
-    ids, rows = [], []
-    categories: dict[str, str] = {}
-    keywords: dict[str, KeywordSet] = {}
-    cluster_kw: list[list[Embedding]] = []
-    for c in range(spec.clusters):
-        kws = []
-        for j in range(spec.keywords_per_item):
-            vec = centers[c] + rng.normal(0.0, spec.keyword_noise, size=spec.dim)
-            kws.append(Embedding(f"kw{c}_{j}", vec))
-        cluster_kw.append(kws)
-    for c in range(spec.clusters):
-        for i in range(spec.items_per_cluster):
-            item_id = f"item{c}_{i}"
-            ids.append(item_id)
-            if collapse_locs is not None and rng.random() < spec.collapsed_frac:
-                loc = collapse_locs[int(rng.integers(spec.collapse_points))]
-                rows.append(loc + rng.normal(0.0, spec.collapse_noise, size=spec.dim))
-            else:
-                rows.append(centers[c] + rng.normal(0.0, spec.noise_scale, size=spec.dim))
-            categories[item_id] = f"cat{c}"
-            keywords[item_id] = KeywordSet(item_id, tuple(cluster_kw[c]))
-    items = Catalog(ids, np.stack(rows))
+    # one draw for a block of rows takes the same stream as a draw per row
+    n_kw = spec.clusters * spec.keywords_per_item
+    kw_rows = np.repeat(centers, spec.keywords_per_item, axis=0) + rng.normal(
+        0.0, spec.keyword_noise, size=(n_kw, spec.dim))
+    cluster_kw = [
+        tuple(Embedding(f"kw{c}_{j}", kw_rows[c * spec.keywords_per_item + j])
+              for j in range(spec.keywords_per_item))
+        for c in range(spec.clusters)
+    ]
+    n_items = spec.clusters * spec.items_per_cluster
+    if collapse_locs is None:
+        matrix = np.repeat(centers, spec.items_per_cluster, axis=0) + rng.normal(
+            0.0, spec.noise_scale, size=(n_items, spec.dim))
+    else:
+        # each row's rng.random() call interleaves with its noise draw
+        rows = []
+        for c in range(spec.clusters):
+            for _ in range(spec.items_per_cluster):
+                if rng.random() < spec.collapsed_frac:
+                    loc = collapse_locs[int(rng.integers(spec.collapse_points))]
+                    rows.append(loc + rng.normal(0.0, spec.collapse_noise, size=spec.dim))
+                else:
+                    rows.append(centers[c] + rng.normal(0.0, spec.noise_scale, size=spec.dim))
+        matrix = np.stack(rows)
+    ids = [f"item{c}_{i}" for c in range(spec.clusters) for i in range(spec.items_per_cluster)]
+    categories = {item_id: f"cat{i // spec.items_per_cluster}" for i, item_id in enumerate(ids)}
+    keywords = {
+        item_id: KeywordSet(item_id, cluster_kw[i // spec.items_per_cluster])
+        for i, item_id in enumerate(ids)
+    }
+    items = Catalog(ids, matrix)
 
-    q_ids, q_rows = [], []
-    query_cluster: dict[str, int] = {}
-    for c in range(spec.clusters):
-        q_id = f"query{c}"
-        q_ids.append(q_id)
-        q_rows.append(centers[c] + rng.normal(0.0, spec.noise_scale * 0.5, size=spec.dim))
-        query_cluster[q_id] = c
-    queries = Catalog(q_ids, np.stack(q_rows))
+    q_ids = [f"query{c}" for c in range(spec.clusters)]
+    query_cluster = {q_id: c for c, q_id in enumerate(q_ids)}
+    queries = Catalog(q_ids, centers + rng.normal(0.0, spec.noise_scale * 0.5,
+                                                  size=(spec.clusters, spec.dim)))
 
     sessions: list[SynthSession] = []
     if spec.sessions:

@@ -32,14 +32,61 @@ def _as_points(points: np.ndarray) -> np.ndarray:
     return pts
 
 
+# Distance blocks hold at most this many float64 entries (2 MB), so a
+# nearest-centroid search never builds the full (n, k) matrix.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _dist_block(points: np.ndarray, neg2_table_t: np.ndarray, table_sq: np.ndarray) -> np.ndarray:
+    """Unclamped ||p||^2 - 2 p.t + ||t||^2 for a block of rows, built in place.
+
+    ``neg2_table_t`` is ``(-2 * table).T``. Scaling by -2 is exact, so the
+    product rounds exactly as ``||p||^2 - (2p) @ table.T`` does.
+    """
+    d = points @ neg2_table_t
+    d += np.sum(points**2, axis=1)[:, None]
+    d += table_sq
+    return d
+
+
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, shape (n, k)."""
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids**2, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    """Squared Euclidean distances clamped at 0, shape (n, k), all at once.
+
+    Only for callers that need every column; ``nearest`` bounds memory.
+    """
+    d = _dist_block(points, (-2.0 * centroids).T, np.sum(centroids**2, axis=1))
+    return np.maximum(d, 0.0, out=d)
+
+
+def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest table row per point and its squared distance (clamped at 0).
+
+    Rows go through in near-equal chunks of at most ``_CHUNK_ENTRIES``
+    distances. Equal chunks leave no small remainder: BLAS may take another
+    code path for a product of a few rows and round it differently, while
+    large chunks round exactly as one product over all rows. Ties go to the
+    lowest index: the argmin of the clamped distances is the first column at
+    or below 0 when a row has a negative rounded distance, else the plain
+    argmin.
+    """
+    n, k = points.shape[0], table.shape[0]
+    neg2_table_t = (-2.0 * table).T
+    table_sq = np.sum(table**2, axis=1)
+    chunks = -(-n // max(1, _CHUNK_ENTRIES // k))
+    idx = np.empty(n, dtype=np.int64)
+    dist = np.empty(n)
+    for c in range(chunks):
+        lo, hi = c * n // chunks, (c + 1) * n // chunks
+        d = _dist_block(points[lo:hi], neg2_table_t, table_sq)
+        j = d.argmin(axis=1)
+        m = d[np.arange(hi - lo), j]
+        neg = m < 0.0
+        if neg.any():
+            j[neg] = np.argmax(d[neg] <= 0.0, axis=1)
+            m[neg] = 0.0
+        idx[lo:hi] = j
+        dist[lo:hi] = m
+    return idx, dist
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -58,11 +105,15 @@ def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return points[chosen].copy()
 
 
-def _update_means(points: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Cluster means of the assignment; empty clusters keep their old centroid."""
-    k, d = centroids.shape
-    sums = np.zeros((k, d))
-    np.add.at(sums, assign, points)
+def _update_means(points_t: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Cluster means of the assignment; empty clusters keep their old centroid.
+
+    ``points_t`` is the point set transposed to contiguous columns, made
+    once per fit. ``bincount`` adds each column's weights in point order,
+    the same sequential sum as ``np.add.at``.
+    """
+    k = centroids.shape[0]
+    sums = np.stack([np.bincount(assign, weights=col, minlength=k) for col in points_t], axis=1)
     counts = np.bincount(assign, minlength=k).astype(np.float64)
     out = centroids.copy()
     nonempty = counts > 0
@@ -70,10 +121,12 @@ def _update_means(points: np.ndarray, assign: np.ndarray, centroids: np.ndarray)
     return out
 
 
-def _repair_empty(points, assign, centroids, dists):
-    """Re-seed each empty cluster with the point farthest from its centroid."""
-    k = centroids.shape[0]
-    assigned_d = dists[np.arange(points.shape[0]), assign]
+def _repair_empty(assign: np.ndarray, assigned_d: np.ndarray, k: int) -> np.ndarray:
+    """Re-seed each empty cluster with the point farthest from its centroid.
+
+    ``assigned_d`` holds each point's squared distance to its own centroid;
+    both arrays are updated in place.
+    """
     counts = np.bincount(assign, minlength=k)
     for j in np.flatnonzero(counts == 0):
         donor = int(np.argmax(assigned_d))
@@ -93,6 +146,34 @@ def _repair_empty(points, assign, centroids, dists):
     return assign
 
 
+def lloyd(
+    points: np.ndarray, centroids: np.ndarray, iters: int, cold: bool = True
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Lloyd iterations from the given centroids.
+
+    Returns the final centroids (means of the final assignment), that
+    assignment and the per-iteration SSE. Stops once an assignment repeats
+    the previous one. A cold start re-seeds empty clusters and records the
+    SSE; a warm start keeps an empty cluster's old centroid and records none.
+    """
+    k = centroids.shape[0]
+    points_t = np.ascontiguousarray(points.T)
+    assign = None
+    sse_per_iter: list[float] = []
+    for _ in range(max(1, iters)):
+        new_assign, dist = nearest(points, centroids)
+        if cold:
+            new_assign = _repair_empty(new_assign, dist, k)
+        centroids = _update_means(points_t, new_assign, centroids)
+        if cold:
+            sse_per_iter.append(float(np.sum((points - centroids[new_assign]) ** 2)))
+        converged = assign is not None and bool(np.array_equal(new_assign, assign))
+        assign = new_assign
+        if converged:
+            break
+    return centroids, assign, sse_per_iter
+
+
 def kmeans_fit(points: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> KmeansResult:
     """Lloyd iterations from deterministic k-means++ seeding.
 
@@ -104,20 +185,7 @@ def kmeans_fit(points: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> Km
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
-    centroids = kmeanspp_seed(points, k, rng)
-    assign = np.zeros(points.shape[0], dtype=np.int64)
-    sse_per_iter: list[float] = []
-    for _ in range(max(1, iters)):
-        dists = _sq_dists(points, centroids)
-        new_assign = np.argmin(dists, axis=1)
-        new_assign = _repair_empty(points, new_assign, centroids, dists)
-        centroids = _update_means(points, new_assign, centroids)
-        sse = float(np.sum((points - centroids[new_assign]) ** 2))
-        sse_per_iter.append(sse)
-        converged = bool(np.array_equal(new_assign, assign)) and len(sse_per_iter) > 1
-        assign = new_assign
-        if converged:
-            break
+    centroids, assign, sse_per_iter = lloyd(points, kmeanspp_seed(points, k, rng), iters)
     return KmeansResult(centroids, assign, sse_per_iter[-1], sse_per_iter)
 
 
@@ -204,6 +272,7 @@ def _swap_refine(points, assign, centroids, max_passes: int = 25):
     invariant survives; centroids are re-averaged after every pass.
     """
     n = points.shape[0]
+    points_t = np.ascontiguousarray(points.T)
     for _ in range(max_passes):
         dists = _sq_dists(points, centroids)
         own = dists[np.arange(n), assign]
@@ -223,7 +292,7 @@ def _swap_refine(points, assign, centroids, max_passes: int = 25):
                 continue
             assign[a], assign[b] = assign[b], assign[a]
             used[a] = used[b] = True
-        centroids = _update_means(points, assign, centroids)
+        centroids = _update_means(points_t, assign, centroids)
     return assign, centroids
 
 
@@ -240,12 +309,13 @@ def balanced_kmeans_fit(points: np.ndarray, k: int, iters: int = 25, seed: int =
             return exact
     rng = np.random.default_rng(seed)
     centroids = kmeanspp_seed(points, k, rng)
+    points_t = np.ascontiguousarray(points.T)
     best: KmeansResult | None = None
     prev_assign = None
     sse_per_iter: list[float] = []
     for _ in range(max(1, iters)):
         assign = _balanced_assign(points, centroids)
-        centroids = _update_means(points, assign, centroids)
+        centroids = _update_means(points_t, assign, centroids)
         sse = float(np.sum((points - centroids[assign]) ** 2))
         sse_per_iter.append(sse)
         if best is None or sse < best.sse:

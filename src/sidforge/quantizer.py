@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .embedding import Catalog
-from .kmeans import balanced_kmeans_fit, kmeans_fit
+from .kmeans import balanced_kmeans_fit, kmeans_fit, lloyd, nearest
 from .sids import Sid, SidScheme
 
 _MAGIC = b"SIDF"
@@ -150,22 +150,33 @@ def _rq_fit_full(
     return rq, stats, np.stack(codes, axis=1), residual
 
 
-def rq_residuals(rq: RqCodebook, vectors: np.ndarray) -> np.ndarray:
-    """Residuals after greedy descent through all hierarchy levels."""
-    residual = np.asarray(vectors, dtype=np.float64).copy()
-    for table in rq.levels:
-        codes = _nearest(residual, table)
+def descend(
+    levels: Sequence[np.ndarray], opq: OpqCodebook, vectors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy nearest-centroid descent; ties break to the lowest index.
+
+    Each table in ``levels`` codes the running residual and is subtracted
+    from it; then each OPQ subspace table codes its slice of the rotated
+    final residual. Returns the (n, L + S) code array and the final
+    hierarchy residual.
+    """
+    residual = np.array(vectors, dtype=np.float64)
+    cols = []
+    for table in levels:
+        codes, _ = nearest(residual, table)
         residual -= table[codes]
-    return residual
+        cols.append(codes)
+    rotated = residual @ opq.rotation
+    offset = 0
+    for table in opq.subspaces:
+        dsub = table.shape[1]
+        cols.append(nearest(rotated[:, offset:offset + dsub], table)[0])
+        offset += dsub
+    return np.stack(cols, axis=1), residual
 
 
-def _nearest(points: np.ndarray, table: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(points**2, axis=1)[:, None]
-        - 2.0 * points @ table.T
-        + np.sum(table**2, axis=1)[None, :]
-    )
-    return np.argmin(d2, axis=1)
+def _to_sids(codes: np.ndarray, n_rq: int) -> list[Sid]:
+    return [Sid(tuple(row[:n_rq]), tuple(row[n_rq:])) for row in codes.tolist()]
 
 
 def opq_fit(
@@ -203,14 +214,14 @@ def opq_fit(
                 res = kmeans_fit(block, codes_per_subspace, iters=kmeans_iters, seed=seed + s)
                 out.append(res.centroids)
             else:
-                out.append(_lloyd_warm(block, warm[s], kmeans_iters))
+                out.append(lloyd(block, warm[s], kmeans_iters, cold=False)[0])
         return out
 
     def reconstruct(rotated: np.ndarray, tbls: list[np.ndarray]) -> np.ndarray:
         parts = []
         for s, table in enumerate(tbls):
             block = rotated[:, s * dsub:(s + 1) * dsub]
-            parts.append(table[_nearest(block, table)])
+            parts.append(table[nearest(block, table)[0]])
         return np.concatenate(parts, axis=1)
 
     for _ in range(outer_iters):
@@ -238,24 +249,6 @@ def opq_fit(
     return OpqCodebook(rotation, tables), stats
 
 
-def _lloyd_warm(points: np.ndarray, centroids: np.ndarray, iters: int) -> np.ndarray:
-    """Plain Lloyd refinement from existing centroids (no reseeding)."""
-    cents = centroids.copy()
-    prev = None
-    for _ in range(max(1, iters)):
-        assign = _nearest(points, cents)
-        k = cents.shape[0]
-        sums = np.zeros_like(cents)
-        np.add.at(sums, assign, points)
-        counts = np.bincount(assign, minlength=k).astype(np.float64)
-        nonempty = counts > 0
-        cents[nonempty] = sums[nonempty] / counts[nonempty, None]
-        if prev is not None and np.array_equal(assign, prev):
-            break
-        prev = assign
-    return cents
-
-
 def fit_codebook(
     catalog: Catalog | np.ndarray,
     level_sizes: Sequence[int] = (4096, 1024, 512),
@@ -280,18 +273,8 @@ def fit_codebook(
     opq, opq_stats = opq_fit(
         fit_residuals, opq_subspaces, opq_codes, outer_iters=opq_outer_iters, seed=seed
     )
-    rotated = fit_residuals @ opq.rotation
-    opq_codes_cols = []
-    offset = 0
-    for table in opq.subspaces:
-        dsub = table.shape[1]
-        opq_codes_cols.append(_nearest(rotated[:, offset:offset + dsub], table))
-        offset += dsub
-    fit_sids = [
-        Sid(tuple(int(c) for c in rq_codes[i]),
-            tuple(int(col[i]) for col in opq_codes_cols))
-        for i in range(vectors.shape[0])
-    ]
+    opq_codes, _ = descend((), opq, fit_residuals)
+    fit_sids = _to_sids(np.concatenate([rq_codes, opq_codes], axis=1), len(rq.levels))
     meta = {
         "dim": int(vectors.shape[1]),
         "n_fit_vectors": int(vectors.shape[0]),
@@ -314,27 +297,8 @@ def encode_batch(vectors: np.ndarray, codebook: RqOpqCodebook) -> list[Sid]:
     vecs = np.asarray(vectors, dtype=np.float64)
     if vecs.ndim != 2 or vecs.shape[1] != codebook.dim:
         raise ValueError(f"expected (n, {codebook.dim}) array, got {vecs.shape}")
-    residual = vecs.copy()
-    rq_codes = []
-    for table in codebook.rq.levels:
-        codes = _nearest(residual, table)
-        residual -= table[codes]
-        rq_codes.append(codes)
-    rotated = residual @ codebook.opq.rotation
-    opq_codes = []
-    offset = 0
-    for table in codebook.opq.subspaces:
-        dsub = table.shape[1]
-        block = rotated[:, offset:offset + dsub]
-        opq_codes.append(_nearest(block, table))
-        offset += dsub
-    out = []
-    for i in range(vecs.shape[0]):
-        out.append(Sid(
-            rq=tuple(int(c[i]) for c in rq_codes),
-            opq=tuple(int(c[i]) for c in opq_codes),
-        ))
-    return out
+    codes, _ = descend(codebook.rq.levels, codebook.opq, vecs)
+    return _to_sids(codes, len(codebook.rq.levels))
 
 
 def lookup_centroids(sid: Sid, codebook: RqOpqCodebook) -> list[np.ndarray]:
@@ -393,32 +357,55 @@ def save_codebook(codebook: RqOpqCodebook, path: str | Path) -> None:
 
 
 def load_codebook(path: str | Path) -> RqOpqCodebook:
+    """Read a codebook written by ``save_codebook``.
+
+    A truncated, malformed or inconsistent file raises ``ValueError`` naming
+    the path.
+    """
     path = Path(path)
     with open(path, "rb") as f:
         if f.read(4) != _MAGIC:
             raise ValueError(f"{path}: bad magic bytes")
-        (version,) = struct.unpack("<I", f.read(4))
+
+        def read_exact(size: int, what: str) -> bytes:
+            raw = f.read(size)
+            if len(raw) != size:
+                raise ValueError(f"{path}: truncated {what}")
+            return raw
+
+        (version,) = struct.unpack("<I", read_exact(4, "header"))
         if version != _VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
-        (blob_len,) = struct.unpack("<I", f.read(4))
-        config = json.loads(f.read(blob_len).decode("utf-8"))
-        d = int(config["dim"])
+        (blob_len,) = struct.unpack("<I", read_exact(4, "header"))
+        blob = read_exact(blob_len, "config block")
+        try:
+            config = json.loads(blob.decode("utf-8"))
+            d = int(config["dim"])
+            level_sizes = tuple(int(w) for w in config["level_sizes"])
+            code_sizes = [int(c) for c in config["opq_code_sizes"]]
+            balanced_last = bool(config["balanced_last"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad config block ({exc!r})") from None
+        sizes = (d, *level_sizes, *code_sizes)
+        if not level_sizes or not code_sizes or min(sizes) < 1 or d % len(code_sizes):
+            raise ValueError(f"{path}: inconsistent config {config}")
+        dsub = d // len(code_sizes)
 
         def read_table(rows: int, cols: int) -> np.ndarray:
-            raw = f.read(rows * cols * 4)
-            if len(raw) != rows * cols * 4:
-                raise ValueError(f"{path}: truncated table")
+            raw = read_exact(rows * cols * 4, "table")
             return np.frombuffer(raw, dtype="<f4").reshape(rows, cols).astype(np.float64)
 
-        levels = [read_table(int(w), d) for w in config["level_sizes"]]
+        levels = [read_table(w, d) for w in level_sizes]
         rotation = read_table(d, d)
-        code_sizes = [int(c) for c in config["opq_code_sizes"]]
-        dsub = d // len(code_sizes) if code_sizes else d
         subspaces = [read_table(c, dsub) for c in code_sizes]
         if f.read(1):
             raise ValueError(f"{path}: trailing bytes")
 
-    rq = RqCodebook(levels, tuple(int(w) for w in config["level_sizes"]), bool(config["balanced_last"]))
+    try:
+        rq = RqCodebook(levels, level_sizes, balanced_last)
+        opq = OpqCodebook(rotation, subspaces)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     meta_path = path.with_name(path.name + ".meta.json")
     meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
-    return RqOpqCodebook(rq, OpqCodebook(rotation, subspaces), meta)
+    return RqOpqCodebook(rq, opq, meta)

@@ -74,6 +74,16 @@ class TestFilterPairs:
         assert len(out_lines) == 2
         assert out_lines[0].startswith("a\tb")
 
+    @pytest.mark.parametrize("threshold", ["1.5", "-1.01"])
+    def test_threshold_outside_unit_range_rejected(self, workspace, threshold):
+        pairs = workspace / "pairs.tsv"
+        pairs.write_text("a\tb\tq2i\t0.7\n")
+        out = workspace / "kept.tsv"
+        with pytest.raises(ValueError, match="outside"):
+            main(["filter-pairs", "--pairs", str(pairs), "--threshold", threshold,
+                  "--out", str(out)])
+        assert not out.exists()
+
 
 class TestMetricsAndDrift:
     def test_metrics_report(self, workspace):

@@ -13,7 +13,9 @@ from sidforge.embedding import (
     load_catalog,
     make_pair,
     match_keywords,
+    read_pairs,
     save_catalog,
+    write_pairs,
 )
 
 
@@ -143,3 +145,19 @@ class TestCatalogIO:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Catalog(["a", "a"], np.zeros((2, 2)))
+
+
+class TestPairsIO:
+    def test_round_trip(self, tmp_path):
+        pairs = [PairRecord("a", "b", "q2i", 0.7), PairRecord("b", "c", "i2i", -0.25)]
+        path = tmp_path / "pairs.tsv"
+        write_pairs(pairs, path)
+        assert read_pairs(path) == pairs
+
+    @pytest.mark.parametrize("bad", ["a\tb\tq2i", "a\tb\tq2i\t0.5\textra",
+                                     "a\tb\tq2i\tnope", "a\tb\tzzz\t0.5"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, bad):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(f"a\tb\tq2i\t0.7\n\n{bad}\n")
+        with pytest.raises(ValueError, match=f"{path}:3: "):
+            read_pairs(path)

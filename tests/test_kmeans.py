@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sidforge.kmeans import balanced_kmeans_fit, kmeans_fit
+from sidforge import kmeans
+from sidforge.kmeans import _update_means, balanced_kmeans_fit, kmeans_fit, lloyd, nearest
 
 
 def sse_of_partition(points, groups):
@@ -37,6 +38,100 @@ def best_balanced_two_partition_sse(points):
         right = tuple(i for i in range(n) if i not in left)
         best = min(best, sse_of_partition(points, [left, right]))
     return best
+
+
+def one_shot_nearest(points, table):
+    """Reference: the whole (n, k) distance matrix in one expression."""
+    d2 = (
+        np.sum(points**2, axis=1)[:, None]
+        - 2.0 * points @ table.T
+        + np.sum(table**2, axis=1)[None, :]
+    )
+    d2 = np.maximum(d2, 0.0)
+    idx = np.argmin(d2, axis=1)
+    return idx, d2[np.arange(len(points)), idx]
+
+
+class TestNearest:
+    def test_ragged_chunks_match_one_shot_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        points, table = rng.normal(size=(1000, 16)), rng.normal(size=(37, 16))
+        # at most 150 rows per chunk, and 1000 is not a multiple of 150
+        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", 37 * 150)
+        idx, dist = nearest(points, table)
+        ref_idx, ref_dist = one_shot_nearest(points, table)
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+
+    def test_one_row_chunks_when_k_exceeds_budget(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        points, table = rng.normal(size=(53, 8)), rng.normal(size=(40, 8))
+        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", 16)
+        idx, dist = nearest(points, table)
+        ref_idx, ref_dist = one_shot_nearest(points, table)
+        assert np.array_equal(idx, ref_idx)
+        # a one-row product runs as matrix-vector, which may sum in another order
+        np.testing.assert_allclose(dist, ref_dist, rtol=1e-12, atol=1e-12)
+
+    def test_negative_rounded_distances_clamp_to_first_index(self, monkeypatch):
+        # far from the origin, ||p||^2 - 2p.t + ||t||^2 cancels badly and
+        # rounds below zero for several centroids of the same point
+        rng = np.random.default_rng(2)
+        points = 1e6 + rng.normal(scale=1e-4, size=(400, 4))
+        table = 1e6 + rng.normal(scale=1e-4, size=(50, 4))
+        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", 50 * 120)
+        idx, dist = nearest(points, table)
+        ref_idx, ref_dist = one_shot_nearest(points, table)
+        raw = np.sum(points**2, axis=1)[:, None] - 2.0 * points @ table.T + np.sum(table**2, axis=1)
+        assert np.sum(raw < 0, axis=1).max() >= 2
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(dist, ref_dist)
+        assert np.all(dist >= 0.0)
+
+    def test_exact_ties_go_to_lowest_index_in_every_chunk(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(5, 6))
+        table = np.concatenate([base, base[::-1], base])   # every row appears 3 times
+        points = base[rng.integers(5, size=301)]
+        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", 15 * 64)
+        idx, dist = nearest(points, table)
+        first = {tuple(row): i for i, row in reversed(list(enumerate(table)))}
+        assert [first[tuple(p)] for p in points] == idx.tolist()
+        assert idx[-1] == first[tuple(points[-1])]
+        assert np.all(dist < 1e-12)
+
+    def test_empty_input(self):
+        idx, dist = nearest(np.zeros((0, 3)), np.ones((4, 3)))
+        assert idx.shape == (0,) and dist.shape == (0,)
+
+
+class TestUpdateMeans:
+    def test_bincount_sums_equal_add_at_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=(5000, 7)) * rng.uniform(1e-3, 1e3, size=(5000, 1))
+        assign = rng.integers(0, 40, size=5000)
+        assign[assign == 13] = 14                          # cluster 13 stays empty
+        old = rng.normal(size=(40, 7))
+        sums = np.zeros((40, 7))
+        np.add.at(sums, assign, points)
+        counts = np.bincount(assign, minlength=40).astype(np.float64)
+        expected = old.copy()
+        expected[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
+        out = _update_means(np.ascontiguousarray(points.T), assign, old)
+        assert np.array_equal(out, expected)
+        assert np.array_equal(out[13], old[13])
+
+
+class TestLloyd:
+    def test_warm_start_keeps_empty_centroid_and_cold_repairs_it(self):
+        points = np.array([[0.0], [0.1], [10.0], [10.1]])
+        start = np.array([[0.0], [10.0], [1e6]])
+        warm, assign, _ = lloyd(points, start, iters=5, cold=False)
+        assert warm[2, 0] == 1e6
+        assert np.bincount(assign, minlength=3)[2] == 0
+        cold, assign, _ = lloyd(points, start, iters=5, cold=True)
+        assert np.all(np.bincount(assign, minlength=3) > 0)
+        assert cold[2, 0] < 1e6
 
 
 class TestKmeansFit:

@@ -1,9 +1,16 @@
 import itertools
+import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sidforge.quantizer import (
+    OpqCodebook,
+    RqCodebook,
+    RqOpqCodebook,
+    descend,
     encode,
     encode_batch,
     fit_codebook,
@@ -12,7 +19,6 @@ from sidforge.quantizer import (
     opq_fit,
     reconstruct,
     rq_fit,
-    rq_residuals,
     save_codebook,
 )
 from sidforge.sids import Sid
@@ -146,7 +152,7 @@ class TestEncode:
     def test_opq_digits_match_per_subspace_scan(self, codebook):
         vecs = hierarchical_catalog()
         sids = encode_batch(vecs, codebook)
-        residuals = rq_residuals(codebook.rq, vecs)
+        _, residuals = descend(codebook.rq.levels, codebook.opq, vecs)
         rotated = residuals @ codebook.opq.rotation
         dsub = codebook.dim // len(codebook.opq.subspaces)
         for row, sid in zip(rotated, sids):
@@ -175,6 +181,23 @@ class TestEncode:
     def test_dimension_mismatch_rejected(self, codebook):
         with pytest.raises(ValueError):
             encode(np.zeros(3), codebook)
+
+
+    def test_peak_memory_bounded_by_chunks_not_n_times_k(self):
+        rng = np.random.default_rng(9)
+        level = rng.normal(size=(4096, 32))
+        cb = RqOpqCodebook(RqCodebook([level], (4096,), False),
+                           OpqCodebook(np.eye(32), [rng.normal(size=(4, 16))] * 2))
+        vecs = rng.normal(size=(20_000, 32))
+        tracemalloc.start()
+        try:
+            sids = encode_batch(vecs, cb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sids) == 20_000
+        # one full 20000 x 4096 float64 distance matrix alone is 655 MB
+        assert peak < 64 * 2**20
 
 
 class TestLookupAndReconstruct:
@@ -234,6 +257,48 @@ class TestSerialization:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_codebook(path)
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        rng = np.random.default_rng(13)
+        cb = fit_codebook(rng.normal(size=(30, 4)), (3, 2), balanced_last=True,
+                          opq_subspaces=2, opq_codes=2, seed=1)
+        path = tmp_path / "good.cb"
+        save_codebook(cb, path)
+        return path
+
+    def test_truncation_at_every_offset_names_path(self, saved, tmp_path):
+        data = saved.read_bytes()
+        cut = tmp_path / "cut.cb"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError, match=f"{cut}: "):
+                load_codebook(cut)
+
+    def _with_config(self, path, config):
+        blob = json.dumps(config).encode("utf-8")
+        data = path.read_bytes()
+        (old_len,) = struct.unpack("<I", data[8:12])
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + old_len:])
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.pop("dim"),
+        lambda c: c.pop("opq_code_sizes"),
+        lambda c: c.update(level_sizes="3,2"),
+        lambda c: c.update(level_sizes=[3, 0]),
+        lambda c: c.update(opq_code_sizes=[2, 2, 2]),
+    ])
+    def test_bad_config_names_path(self, saved, edit):
+        config = {"balanced_last": True, "dim": 4, "level_sizes": [3, 2], "opq_code_sizes": [2, 2]}
+        edit(config)
+        self._with_config(saved, config)
+        with pytest.raises(ValueError, match=f"{saved}: "):
+            load_codebook(saved)
+
+    def test_config_rewrite_round_trips(self, saved):
+        config = {"balanced_last": True, "dim": 4, "level_sizes": [3, 2], "opq_code_sizes": [2, 2]}
+        self._with_config(saved, config)
+        assert load_codebook(saved).scheme.rq_sizes == (3, 2)
 
     def test_determinism_same_seed_bit_identical(self):
         rng = np.random.default_rng(12)
