@@ -16,6 +16,7 @@ import numpy as np
 from . import curriculum as curr
 from . import evalharness as ev
 from . import reward as rw
+from ._records import read_json, read_records
 from .embedding import (
     Catalog,
     KeywordSet,
@@ -142,13 +143,9 @@ def cmd_drift(args) -> None:
 
 def _read_click_stats(path: str, scheme: SidScheme) -> dict[str, list[ClickStat]]:
     stats: dict[str, list[ClickStat]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            query, item_id, sid, pv = line.split("\t")
-            stats.setdefault(query, []).append(ClickStat(item_id, scheme.parse(sid), int(pv)))
+    for query, stat in read_records(path, lambda query, item_id, sid, pv: (
+            query, ClickStat(item_id, scheme.parse(sid), int(pv))), fields=4):
+        stats.setdefault(query, []).append(stat)
     return stats
 
 
@@ -189,15 +186,8 @@ def cmd_encode_user(args) -> None:
 
 
 def _read_reranks(path: str) -> list[rw.RerankRecord]:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            query, before, after = line.split("\t")
-            out.append(rw.RerankRecord(query, tuple(before.split(",")), tuple(after.split(","))))
-    return out
+    return read_records(path, lambda query, before, after: rw.RerankRecord(
+        query, tuple(before.split(",")), tuple(after.split(","))), fields=3)
 
 
 def cmd_build_pairs(args) -> None:
@@ -211,14 +201,8 @@ def cmd_build_pairs(args) -> None:
 
 def cmd_dpo_eval(args) -> None:
     lists = rw.read_preference_lists(args.lists)
-    logps: dict[tuple[str, str], tuple[float, float]] = {}
-    with open(args.logprobs, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            context, candidate, policy, ref = line.split("\t")
-            logps[(context, candidate)] = (float(policy), float(ref))
+    logps = dict(read_records(args.logprobs, lambda context, candidate, policy, ref: (
+        (context, candidate), (float(policy), float(ref))), fields=4))
     cfg = rw.DpoConfig(beta=args.beta, alpha=args.alpha, delta_margin=args.delta)
     lines = []
     total = 0.0
@@ -237,15 +221,36 @@ def cmd_dpo_eval(args) -> None:
 
 
 def _read_tsv_map(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, value = line.split("\t", 1)
-            out[key] = value
-    return out
+    """``key<TAB>value`` lines; the value may itself hold tabs."""
+
+    def entry(line: str) -> tuple[str, str]:
+        key, tab, value = line.partition("\t")
+        if not tab:
+            raise ValueError("expected key<TAB>value")
+        return key, value
+
+    return dict(read_records(path, entry))
+
+
+def _read_sessions(path: str, item_sids: dict, query_sids: dict) -> list[curr.Session]:
+    """Stage-3 sessions; one whose query or items have no SID is left out."""
+
+    def session(obj: dict) -> curr.Session | None:
+        session_id, query_id, clicked = obj["session_id"], obj["query_id"], obj["clicked_item"]
+        try:
+            return curr.Session(
+                session_id=session_id,
+                query_text=obj.get("query_text", query_id),
+                query_sid=query_sids[query_id],
+                clicked_sid=item_sids[clicked],
+                short_clicks=tuple(item_sids[i] for i in obj.get("short_clicks", [])),
+                long_clicks=tuple(item_sids[i] for i in obj.get("long_clicks", [])),
+                aggregate_ref=obj.get("aggregate_ref"),
+            )
+        except KeyError:
+            return None
+
+    return [s for s in read_records(path, session, jsonl=True) if s is not None]
 
 
 def _require(args, names) -> None:
@@ -267,13 +272,7 @@ def cmd_curriculum(args) -> None:
         _require(args, ["pairs", "sids", "levels"])
         scheme = _scheme_from_args(args)
         sids = read_sid_file(args.sids, scheme)
-        pairs = []
-        with open(args.pairs, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if line:
-                    q, i = line.split("\t")
-                    pairs.append((q, i))
+        pairs = read_records(args.pairs, lambda query_id, item_id: (query_id, item_id), fields=2)
         texts = _read_tsv_map(args.texts) if args.texts else None
         records, stats = curr.build_stage2(pairs, sids.entries, texts)
     else:
@@ -282,25 +281,7 @@ def cmd_curriculum(args) -> None:
         scheme = codebook.scheme
         item_sids = read_sid_file(args.sids, scheme).entries
         query_sids = read_sid_file(args.query_sids, scheme).entries
-        sessions = []
-        with open(args.sessions, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                try:
-                    sessions.append(curr.Session(
-                        session_id=obj["session_id"],
-                        query_text=obj.get("query_text", obj["query_id"]),
-                        query_sid=query_sids[obj["query_id"]],
-                        clicked_sid=item_sids[obj["clicked_item"]],
-                        short_clicks=tuple(item_sids[i] for i in obj.get("short_clicks", [])),
-                        long_clicks=tuple(item_sids[i] for i in obj.get("long_clicks", [])),
-                        aggregate_ref=obj.get("aggregate_ref"),
-                    ))
-                except KeyError:
-                    continue  # unresolvable session
+        sessions = _read_sessions(args.sessions, item_sids, query_sids)
         records, stats = curr.build_stage3(sessions, codebook, max_window=args.max_window)
     curr.write_task_records(records, args.out)
     sys.stdout.write(f"records={len(records)} skipped={stats.skipped}\n")
@@ -331,18 +312,20 @@ def cmd_generate(args) -> None:
     _write_lines(args.out, lines)
 
 
+def _read_cases(path: str, scheme: SidScheme) -> list[ev.EvalCase]:
+    def case(obj: dict) -> ev.EvalCase:
+        if not isinstance(obj["context"], str):
+            raise ValueError("context must be a comma-joined SID string")
+        return ev.EvalCase(scheme.parse(obj["context"]), obj["truth"])
+
+    return read_records(path, case, jsonl=True)
+
+
 def cmd_evaluate(args) -> None:
     codebook = load_codebook(args.codebook)
     scorer = CooccurrenceScorer.load(args.scorer)
     catalog = load_catalog(args.catalog)
-    cases = []
-    with open(args.cases, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            cases.append(ev.EvalCase(codebook.scheme.parse(obj["context"]), obj["truth"]))
+    cases = _read_cases(args.cases, codebook.scheme)
     ks = _parse_levels(args.k)
     report = ev.run_eval(codebook, scorer, cases, ks, catalog, beam=args.beam)
     text = report.render()
@@ -353,9 +336,7 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    spec_obj = json.loads(Path(args.spec).read_text(encoding="utf-8"))
-    spec = ev.SyntheticSpec(**spec_obj)
-    bundle = ev.synth_catalog(spec)
+    bundle = ev.synth_catalog(read_json(args.spec, lambda obj: ev.SyntheticSpec(**obj)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_catalog(bundle.items, out / "items.catalog")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from ._records import read_records
 from .identity import BehaviorSequence, assemble_prompt, build_user_sid
 from .quantizer import RqOpqCodebook
 from .sids import Sid, SidScheme
@@ -200,13 +201,5 @@ def write_task_records(records: Iterable[TaskRecord], path: str | Path) -> None:
 
 
 def read_task_records(path: str | Path) -> list[TaskRecord]:
-    out: list[TaskRecord] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            stage, tag, inputs, targets = line.split("\t")
-            out.append(TaskRecord(int(stage), tag, tuple(inputs.split(" ")),
-                                  tuple(targets.split(" "))))
-    return out
+    return read_records(path, lambda stage, tag, inputs, targets: TaskRecord(
+        int(stage), tag, tuple(inputs.split(" ")), tuple(targets.split(" "))), fields=4)

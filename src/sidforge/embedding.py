@@ -14,6 +14,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._records import read_records
+
 # The 18 structured attribute classes recognised by the keyword matcher.
 NER_ATTRIBUTES = (
     "Entity", "Modifier", "Brand", "Material", "Style", "Function",
@@ -88,17 +90,6 @@ class Catalog:
         self.ids = list(ids)
         self.matrix = matrix
         self._row = {item_id: i for i, item_id in enumerate(self.ids)}
-
-    @classmethod
-    def from_embeddings(cls, embeddings: Iterable[Embedding]) -> "Catalog":
-        embeddings = list(embeddings)
-        if not embeddings:
-            raise ValueError("catalog needs at least one embedding")
-        dim = embeddings[0].dim
-        for e in embeddings:
-            if e.dim != dim:
-                raise ValueError(f"embedding {e.id!r} has dim {e.dim}, catalog dim is {dim}")
-        return cls([e.id for e in embeddings], np.stack([e.vector for e in embeddings]))
 
     @property
     def dim(self) -> int:
@@ -183,31 +174,30 @@ def save_catalog(catalog: Catalog, path: str | Path) -> None:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if not header.startswith("dim="):
-            raise ValueError(f"{path}: missing dim= header")
-        dim = int(header[len("dim="):])
+    dim = 0
+
+    def read_dim(line: str) -> None:
+        nonlocal dim
+        text = line.strip()
+        dim = int(text[len("dim="):]) if text.startswith("dim=") else 0
         if dim <= 0:
-            raise ValueError(f"{path}: dim must be positive")
-        ids: list[str] = []
-        rows: list[np.ndarray] = []
-        for line_no, line in enumerate(f, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                item_id, blob = line.split("\t")
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: expected two tab-separated fields")
-            vec = np.frombuffer(base64.b64decode(blob), dtype="<f4").astype(np.float64)
-            if vec.shape[0] != dim:
-                raise ValueError(f"{path}:{line_no}: vector has dim {vec.shape[0]}, expected {dim}")
-            ids.append(item_id)
-            rows.append(vec)
+            raise ValueError(f"expected a dim=<positive int> header, got {text!r}")
+
+    def row(item_id: str, blob: str) -> tuple[str, bytes]:
+        raw = base64.b64decode(blob, validate=True)
+        if len(raw) != 4 * dim:
+            raise ValueError(f"vector has {len(raw)} bytes, expected {4 * dim} for dim {dim}")
+        return item_id, raw
+
+    rows = read_records(path, row, fields=2, header=read_dim)
     if not rows:
         raise ValueError(f"{path}: catalog is empty")
-    return Catalog(ids, np.stack(rows))
+    ids, raws = zip(*rows)
+    matrix = np.frombuffer(b"".join(raws), dtype="<f4").reshape(len(raws), dim)
+    try:
+        return Catalog(list(ids), matrix.astype(np.float64))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_pairs(pairs: Iterable[PairRecord], path: str | Path) -> None:
@@ -217,18 +207,5 @@ def write_pairs(pairs: Iterable[PairRecord], path: str | Path) -> None:
 
 
 def read_pairs(path: str | Path) -> list[PairRecord]:
-    out: list[PairRecord] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(fields)}")
-            left, right, kind, cos = fields
-            try:
-                out.append(PairRecord(left, right, kind, float(cos)))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
+    return read_records(path, lambda left, right, kind, cos:
+                        PairRecord(left, right, kind, float(cos)), fields=4)

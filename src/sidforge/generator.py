@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
+from ._records import read_json
 from .identity import parse_prompt
 from .reward import rscore
 from .sids import Sid, SidCatalog, SidScheme
@@ -161,16 +162,20 @@ class CooccurrenceScorer:
         self.scheme = scheme
         # counts[(position, query_digit, previous_digit)][digit]
         self.counts: dict[tuple[int, int, int], dict[int, int]] = {}
-        self._ctx_memo: tuple[object, int] | None = None
+        self._ctx_memo: tuple[object, int] = (object(), 0)  # (last context, its digit)
 
     def _context_digit(self, context) -> int:
-        if self._ctx_memo is not None and self._ctx_memo[0] is context:
+        if self._ctx_memo[0] is context:
             return self._ctx_memo[1]
+        if isinstance(context, list):  # the caller may change a list: key on a snapshot
+            context = tuple(context)
+            if self._ctx_memo[0] == context:
+                return self._ctx_memo[1]
         if isinstance(context, Sid):
             digit = context.rq[0]
-        elif isinstance(context, (tuple, list)) and context and isinstance(context[0], int):
+        elif isinstance(context, tuple) and context and isinstance(context[0], int):
             digit = int(context[0])
-        elif isinstance(context, (tuple, list)) and context and isinstance(context[0], str):
+        elif isinstance(context, tuple) and context and isinstance(context[0], str):
             digit = parse_prompt(context, self.scheme).query_sid.rq[0]
         else:
             raise ValueError(f"cannot extract a query digit from context {context!r}")
@@ -215,13 +220,19 @@ class CooccurrenceScorer:
 
     @classmethod
     def load(cls, path: str | Path) -> "CooccurrenceScorer":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        scheme = SidScheme(tuple(payload["rq_sizes"]), tuple(payload["opq_sizes"]))
-        scorer = cls(scheme)
-        for key, count in payload["counts"].items():
-            pos, q1, prev, digit = (int(x) for x in key.split(","))
-            scorer.counts.setdefault((pos, q1, prev), {})[digit] = count
-        return scorer
+        def parse(payload: dict) -> "CooccurrenceScorer":
+            scorer = cls(SidScheme(tuple(payload["rq_sizes"]), tuple(payload["opq_sizes"])))
+            counts = payload["counts"]
+            if not isinstance(counts, dict):
+                raise ValueError("counts must be a JSON object")
+            for key, count in counts.items():
+                pos, q1, prev, digit = (int(x) for x in key.split(","))
+                if not isinstance(count, int) or count < 0:
+                    raise ValueError(f"count {count!r} for {key!r} is not a non-negative integer")
+                scorer.counts.setdefault((pos, q1, prev), {})[digit] = count
+            return scorer
+
+        return read_json(path, parse)
 
 
 def cooccurrence_fit(records: Iterable, scheme: SidScheme) -> CooccurrenceScorer:

@@ -17,6 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from ._records import read_json
 from .embedding import Catalog
 from .kmeans import balanced_kmeans_fit, kmeans_fit, lloyd, nearest
 from .sids import Sid, SidScheme
@@ -407,5 +408,5 @@ def load_codebook(path: str | Path) -> RqOpqCodebook:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     meta_path = path.with_name(path.name + ".meta.json")
-    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
+    meta = read_json(meta_path, dict) if meta_path.exists() else {}
     return RqOpqCodebook(rq, opq, meta)

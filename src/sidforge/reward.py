@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._records import read_records
 from .sids import Sid
 
 # Base reward weight per behavior level: purchase-in-search,
@@ -277,18 +278,8 @@ def build_preference_lists(
 
 def read_interactions(path: str | Path) -> list[InteractionRecord]:
     """Tab-separated ``query item level cnt_pos cnt_clk cnt_order`` lines."""
-    out: list[InteractionRecord] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 6:
-                raise ValueError(f"{path}:{line_no}: expected 6 fields, got {len(parts)}")
-            query, item, level, pos, clk, order = parts
-            out.append(InteractionRecord(query, item, int(level), int(pos), int(clk), int(order)))
-    return out
+    return read_records(path, lambda query, item, *counts:
+                        InteractionRecord(query, item, *(int(c) for c in counts)), fields=6)
 
 
 def write_preference_lists(lists: Iterable[PreferenceList], path: str | Path) -> None:
@@ -303,13 +294,6 @@ def write_preference_lists(lists: Iterable[PreferenceList], path: str | Path) ->
 
 
 def read_preference_lists(path: str | Path) -> list[PreferenceList]:
-    out: list[PreferenceList] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append(PreferenceList(obj["context"], obj["winner"],
-                                      list(obj["losers"]), [float(d) for d in obj["deltas"]]))
-    return out
+    return read_records(path, lambda obj: PreferenceList(
+        obj["context"], obj["winner"], list(obj["losers"]), [float(d) for d in obj["deltas"]],
+    ), jsonl=True)

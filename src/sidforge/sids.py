@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from ._records import read_records
+
 
 @dataclass(frozen=True)
 class Sid:
@@ -99,29 +101,12 @@ def write_sid_file(path: str | Path, entries: Iterable[tuple[str, Sid]]) -> None
             f.write(f"{item_id}\t{sid.render()}\n")
 
 
-def read_sid_file(path: str | Path, scheme: SidScheme) -> SidCatalog:
-    entries: dict[str, Sid] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                item_id, rendered = line.split("\t")
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: expected two tab-separated fields")
-            entries[item_id] = scheme.parse(rendered)
-    return SidCatalog(entries, scheme)
-
-
 def read_sid_sequence(path: str | Path, scheme: SidScheme) -> list[tuple[str, Sid]]:
-    """Like :func:`read_sid_file` but keeps line order and duplicates."""
-    out: list[tuple[str, Sid]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            item_id, rendered = line.split("\t")
-            out.append((item_id, scheme.parse(rendered)))
-    return out
+    """``(id, sid)`` rows of a SID file in line order, duplicates kept."""
+    return read_records(path, lambda item_id, rendered: (item_id, scheme.parse(rendered)),
+                        fields=2)
+
+
+def read_sid_file(path: str | Path, scheme: SidScheme) -> SidCatalog:
+    """The catalog of a SID file; the last line wins on a duplicate id."""
+    return SidCatalog(dict(read_sid_sequence(path, scheme)), scheme)

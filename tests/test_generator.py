@@ -216,6 +216,15 @@ class TestCooccurrenceScorer:
         with pytest.raises(ValueError):
             cooccurrence_fit([], SCHEME)
 
+    def test_list_context_changed_between_calls(self):
+        scorer = cooccurrence_fit([(sid(1, 0, 0), sid(0, 0, 0))], SCHEME)
+        context = [1]
+        assert scorer.score(context, (), 0) == pytest.approx(math.log(2 / 4))
+        context[0] = 2  # an unseen query digit: uniform over 3 codes
+        assert scorer.score(context, (), 0) == pytest.approx(math.log(1 / 3))
+        fresh = cooccurrence_fit([(sid(1, 0, 0), sid(0, 0, 0))], SCHEME)
+        assert scorer.score(context, (), 0) == fresh.score([2], (), 0)
+
 
 class TestRerankWithRscore:
     def test_relevance_dominates(self):
