@@ -22,6 +22,13 @@ def _json_object(text: str) -> dict:
     return obj
 
 
+def id_list(value: Any) -> list[str]:
+    """``value`` checked to be a JSON list of id strings, not one string."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"expected a JSON list of id strings, got {value!r}")
+    return value
+
+
 def read_records(path: str | Path, parse: Callable[..., Any], *, fields: int = 0,
                  jsonl: bool = False, header: Callable[[str], Any] | None = None) -> list:
     """``parse`` applied to each non-blank line of a UTF-8 file, in order.

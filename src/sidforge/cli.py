@@ -16,7 +16,7 @@ import numpy as np
 from . import curriculum as curr
 from . import evalharness as ev
 from . import reward as rw
-from ._records import read_json, read_records
+from ._records import id_list, read_json, read_records
 from .embedding import (
     Catalog,
     KeywordSet,
@@ -237,14 +237,16 @@ def _read_sessions(path: str, item_sids: dict, query_sids: dict) -> list[curr.Se
 
     def session(obj: dict) -> curr.Session | None:
         session_id, query_id, clicked = obj["session_id"], obj["query_id"], obj["clicked_item"]
+        short_ids = id_list(obj.get("short_clicks", []))
+        long_ids = id_list(obj.get("long_clicks", []))
         try:
             return curr.Session(
                 session_id=session_id,
                 query_text=obj.get("query_text", query_id),
                 query_sid=query_sids[query_id],
                 clicked_sid=item_sids[clicked],
-                short_clicks=tuple(item_sids[i] for i in obj.get("short_clicks", [])),
-                long_clicks=tuple(item_sids[i] for i in obj.get("long_clicks", [])),
+                short_clicks=tuple(item_sids[i] for i in short_ids),
+                long_clicks=tuple(item_sids[i] for i in long_ids),
                 aggregate_ref=obj.get("aggregate_ref"),
             )
         except KeyError:
@@ -300,7 +302,7 @@ def cmd_generate(args) -> None:
     scorer = CooccurrenceScorer.load(args.scorer)
     context_path = Path(args.context)
     if context_path.exists():
-        context = context_path.read_text(encoding="utf-8").split()
+        context = [tok for line in read_records(context_path, str.split) for tok in line]
     else:
         context = scheme.parse(args.context)
     hits = beam_search(context, scorer, args.beam, trie=trie,
@@ -316,7 +318,7 @@ def _read_cases(path: str, scheme: SidScheme) -> list[ev.EvalCase]:
     def case(obj: dict) -> ev.EvalCase:
         if not isinstance(obj["context"], str):
             raise ValueError("context must be a comma-joined SID string")
-        return ev.EvalCase(scheme.parse(obj["context"]), obj["truth"])
+        return ev.EvalCase(scheme.parse(obj["context"]), id_list(obj["truth"]))
 
     return read_records(path, case, jsonl=True)
 

@@ -182,17 +182,19 @@ def synth_catalog(spec: SyntheticSpec) -> SynthBundle:
 
 
 class OracleScorer:
-    """Peeks at the per-context truth SID; an upper-bound comparator."""
+    """Peeks at the per-context truth SID (0 on its digit, -1e9 elsewhere); an upper bound."""
 
     def __init__(self, truth_sids: Mapping[object, Sid]):
         self.truth_sids = dict(truth_sids)
 
-    def score(self, context, prefix: tuple[int, ...], digit: int) -> float:
+    def score_step(self, context, prefixes: np.ndarray, vocab: int) -> np.ndarray:
         sid = self.truth_sids.get(context if not isinstance(context, list) else tuple(context))
-        if sid is None:
-            return 0.0
-        pos = len(prefix)
-        return 0.0 if pos < len(sid.digits) and sid.digits[pos] == digit else -1e9
+        rows = np.zeros((len(prefixes), vocab))
+        if sid is not None:
+            pos = prefixes.shape[1]
+            truth = sid.digits[pos] if pos < len(sid.digits) else -1
+            rows[:, np.arange(vocab) != truth] = -1e9
+        return rows
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Beam generation over code sequences with a pluggable scorer.
 
-A scorer is anything with ``score(context, prefix, digit) -> float``
-returning a finite log-score. The shipped co-occurrence scorer estimates
-smoothed digit frequencies conditioned on the query's first code digit
-and the previous target digit, so the pipeline runs end to end without a
-neural decoder.
+A scorer's ``score_step(context, prefixes, vocab)`` maps the ``(B, step)``
+int array of live beam prefixes to the ``(B, vocab)`` finite log-scores of
+each beam's next digit: one call per beam step. The shipped co-occurrence
+scorer estimates smoothed digit frequencies conditioned on the query's first
+code digit and the previous target digit, so no neural decoder is needed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
+import numpy as np
+
 from ._records import read_json
 from .identity import parse_prompt
 from .reward import rscore
@@ -24,14 +26,14 @@ DEFAULT_BEAM = 512
 
 
 class Scorer(Protocol):
-    def score(self, context, prefix: tuple[int, ...], digit: int) -> float: ...
+    def score_step(self, context, prefixes: np.ndarray, vocab: int) -> np.ndarray: ...
 
 
 class UniformScorer:
     """Scores every digit identically; beam output falls back to tie-break order."""
 
-    def score(self, context, prefix: tuple[int, ...], digit: int) -> float:
-        return 0.0
+    def score_step(self, context, prefixes: np.ndarray, vocab: int) -> np.ndarray:
+        return np.zeros((len(prefixes), vocab))
 
 
 class _TrieNode:
@@ -59,12 +61,7 @@ class SidTrie:
         self.size += 1
 
     def contains(self, digits: tuple[int, ...]) -> bool:
-        node = self.root
-        for d in digits:
-            node = node.children.get(d)
-            if node is None:
-                return False
-        return bool(node.item_ids)
+        return bool(self.items_at(digits))
 
     def items_at(self, digits: tuple[int, ...]) -> list[str]:
         node = self.root
@@ -122,30 +119,32 @@ def beam_search(
             scheme = trie.scheme
     length = scheme.length
 
-    beams: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
+    # live beams stay in digit order, so a stable sort on -score is (-score, digits)
+    prefixes, acc = np.zeros((1, 0), dtype=np.int64), np.zeros(1)
+    nodes = [trie.root] if constrained else []  # each live beam's trie node
     for step in range(length):
-        candidates: list[tuple[tuple[int, ...], float]] = []
-        for prefix, acc in beams:
-            if constrained:
-                node = trie.root
-                for d in prefix:
-                    node = node.children[d]
-                digits = sorted(node.children)
-            else:
-                digits = range(scheme.sizes[step])
-            for d in digits:
-                s = scorer.score(context, prefix, d)
-                if not math.isfinite(s):
-                    raise ValueError(f"scorer returned non-finite score {s} for digit {d}")
-                candidates.append((prefix + (d,), acc + s))
-        if not candidates:
-            return []
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        beams = candidates[:beam]
+        vocab = scheme.sizes[step]
+        if constrained:
+            kids = [sorted(node.children) for node in nodes]
+            parent = np.repeat(np.arange(len(kids)), [len(k) for k in kids])
+            digit = np.array([d for k in kids for d in k], dtype=np.int64)
+        else:
+            parent, digit = np.divmod(np.arange(len(prefixes) * vocab), vocab)
+        rows = np.asarray(scorer.score_step(context, prefixes, vocab), dtype=float)
+        if rows.shape != (len(prefixes), vocab) or not np.isfinite(rows).all():
+            raise ValueError(f"step {step}: scorer must return finite scores of shape "
+                             f"{(len(prefixes), vocab)}, got shape {rows.shape}")
+        scores = acc[parent] + rows[parent, digit]
+        keep = np.sort(np.argsort(-scores, kind="stable")[:beam])
+        parent, digit = parent[keep], digit[keep]
+        prefixes, acc = np.column_stack((prefixes[parent], digit)), scores[keep]
+        if constrained:
+            nodes = [nodes[p].children[d] for p, d in zip(parent.tolist(), digit.tolist())]
 
     n_rq = len(scheme.rq_sizes)
     hits = []
-    for digits, score in beams:
+    order = np.argsort(-acc, kind="stable")
+    for digits, score in zip(map(tuple, prefixes[order].tolist()), acc[order].tolist()):
         sid = Sid(digits[:n_rq], digits[n_rq:])
         if constrained:
             in_catalog: bool | None = True
@@ -162,28 +161,20 @@ class CooccurrenceScorer:
         self.scheme = scheme
         # counts[(position, query_digit, previous_digit)][digit]
         self.counts: dict[tuple[int, int, int], dict[int, int]] = {}
-        self._ctx_memo: tuple[object, int] = (object(), 0)  # (last context, its digit)
 
     def _context_digit(self, context) -> int:
-        if self._ctx_memo[0] is context:
-            return self._ctx_memo[1]
-        if isinstance(context, list):  # the caller may change a list: key on a snapshot
-            context = tuple(context)
-            if self._ctx_memo[0] == context:
-                return self._ctx_memo[1]
         if isinstance(context, Sid):
-            digit = context.rq[0]
-        elif isinstance(context, tuple) and context and isinstance(context[0], int):
-            digit = int(context[0])
-        elif isinstance(context, tuple) and context and isinstance(context[0], str):
-            digit = parse_prompt(context, self.scheme).query_sid.rq[0]
-        else:
-            raise ValueError(f"cannot extract a query digit from context {context!r}")
-        self._ctx_memo = (context, digit)
-        return digit
+            return context.rq[0]
+        if isinstance(context, (tuple, list)) and context and isinstance(context[0], int):
+            return int(context[0])
+        if isinstance(context, (tuple, list)) and context and isinstance(context[0], str):
+            return parse_prompt(context, self.scheme).query_sid.rq[0]
+        raise ValueError(f"cannot extract a query digit from context {context!r}")
 
     def observe(self, query_sid: Sid, target_sid: Sid) -> None:
         q1 = query_sid.rq[0]
+        if not 0 <= q1 < self.scheme.rq_sizes[0]:
+            raise ValueError(f"query digit {q1} outside [0, {self.scheme.rq_sizes[0]})")
         digits = self.scheme.validate(target_sid).digits
         prev = -1
         for pos, d in enumerate(digits):
@@ -191,18 +182,19 @@ class CooccurrenceScorer:
             slot[d] = slot.get(d, 0) + 1
             prev = d
 
-    def score(self, context, prefix: tuple[int, ...], digit: int) -> float:
-        pos = len(prefix)
-        if pos >= self.scheme.length:
-            raise ValueError(f"prefix length {pos} outside scheme of length {self.scheme.length}")
-        vocab = self.scheme.sizes[pos]
-        if not 0 <= digit < vocab:
-            raise ValueError(f"digit {digit} outside [0, {vocab}) at position {pos}")
+    def score_step(self, context, prefixes: np.ndarray, vocab: int) -> np.ndarray:
+        pos = prefixes.shape[1]
+        if self.scheme.sizes[pos:pos + 1] != (vocab,):
+            raise ValueError(f"no position {pos} of {vocab} codes in scheme {self.scheme.sizes}")
         q1 = self._context_digit(context)
-        prev = prefix[-1] if prefix else -1
-        slot = self.counts.get((pos, q1, prev), {})
-        total = sum(slot.values())
-        return math.log((slot.get(digit, 0) + 1) / (total + vocab))
+        rows = np.empty((len(prefixes), vocab))
+        for row, prev in zip(rows, prefixes[:, -1].tolist() if pos else [-1] * len(rows)):
+            slot = self.counts.get((pos, q1, prev), {})
+            total = sum(slot.values()) + vocab
+            row.fill(math.log(1 / total))
+            for digit, count in slot.items():
+                row[digit] = math.log((count + 1) / total)
+        return rows
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -225,8 +217,12 @@ class CooccurrenceScorer:
             counts = payload["counts"]
             if not isinstance(counts, dict):
                 raise ValueError("counts must be a JSON object")
+            sizes = scorer.scheme.sizes
             for key, count in counts.items():
                 pos, q1, prev, digit = (int(x) for x in key.split(","))
+                if not (0 <= pos < len(sizes) and 0 <= q1 < sizes[0] and 0 <= digit < sizes[pos]
+                        and (prev == -1 if pos == 0 else 0 <= prev < sizes[pos - 1])):
+                    raise ValueError(f"count key {key!r} is outside the scheme {sizes}")
                 if not isinstance(count, int) or count < 0:
                     raise ValueError(f"count {count!r} for {key!r} is not a non-negative integer")
                 scorer.counts.setdefault((pos, q1, prev), {})[digit] = count

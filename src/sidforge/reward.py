@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._records import read_records
+from ._records import id_list, read_records
 from .sids import Sid
 
 # Base reward weight per behavior level: purchase-in-search,
@@ -295,5 +295,5 @@ def write_preference_lists(lists: Iterable[PreferenceList], path: str | Path) ->
 
 def read_preference_lists(path: str | Path) -> list[PreferenceList]:
     return read_records(path, lambda obj: PreferenceList(
-        obj["context"], obj["winner"], list(obj["losers"]), [float(d) for d in obj["deltas"]],
+        obj["context"], obj["winner"], id_list(obj["losers"]), [float(d) for d in obj["deltas"]],
     ), jsonl=True)

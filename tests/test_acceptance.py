@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from digit_scores import digit_score
 from sidforge.cli import main
 from sidforge.embedding import Catalog, compose_enhanced, load_catalog, save_catalog
 from sidforge.evalharness import EvalCase, SyntheticSpec, run_eval, synth_catalog
@@ -300,7 +301,7 @@ def _exhaustive_paths(trie, scorer, context):
             return
         for digit in sorted(node.children):
             walk(node.children[digit], prefix + (digit,),
-                 acc + scorer.score(context, prefix, digit))
+                 acc + digit_score(scorer, context, prefix, digit, trie.scheme))
 
     walk(trie.root, (), 0.0)
     scored.sort(key=lambda t: (-t[1], t[0]))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from digit_scores import digit_score
 from sidforge.generator import (
     CooccurrenceScorer,
     UniformScorer,
@@ -36,7 +37,7 @@ def exhaustive_ranking(trie, scorer, context):
             return
         for digit in sorted(node.children):
             walk(node.children[digit], prefix + (digit,),
-                 acc + scorer.score(context, prefix, digit))
+                 acc + digit_score(scorer, context, prefix, digit, SCHEME))
 
     walk(trie.root, (), 0.0)
     scored.sort(key=lambda t: (-t[1], t[0]))
@@ -131,7 +132,8 @@ class TestBeamSearch:
         assert len(hits) == 1
         prefix = ()
         for step in range(SCHEME.length):
-            scores = [scorer.score(context, prefix, d) for d in range(SCHEME.sizes[step])]
+            scores = [digit_score(scorer, context, prefix, d, SCHEME)
+                      for d in range(SCHEME.sizes[step])]
             prefix = prefix + (int(np.argmax(scores)),)
         assert hits[0].sid.digits == prefix
 
@@ -158,6 +160,55 @@ class TestBeamSearch:
             assert h.in_catalog == (h.sid.digits in paths)
         assert any(not h.in_catalog for h in hits)
 
+    @pytest.mark.parametrize("width_extra", [0, 5])
+    def test_unconstrained_saturated_beam_equals_exhaustive_code_space(
+            self, trie, scorer, width_extra):
+        space = list(itertools.product(*(range(n) for n in SCHEME.sizes)))
+        paths = {p for p, _ in self._paths(trie)}
+        context = sid(1, 0, 0)
+        for s in (scorer, UniformScorer()):
+            oracle = sorted(
+                ((digits, sum(digit_score(s, context, digits[:pos], d, SCHEME)
+                              for pos, d in enumerate(digits)))
+                 for digits in space),
+                key=lambda t: (-t[1], t[0]))
+            hits = beam_search(context, s, len(space) + width_extra, trie=trie,
+                               constrained=False)
+            assert [h.sid.digits for h in hits] == [digits for digits, _ in oracle]
+            for hit, (digits, score) in zip(hits, oracle):
+                assert hit.score == pytest.approx(score, abs=1e-12)
+                assert hit.in_catalog == (digits in paths)
+
+    def test_ties_break_by_digits_on_a_wide_code_space(self):
+        class ParityScorer:  # two score levels per step: many ties
+            def score_step(self, context, prefixes, vocab):
+                return np.tile(-(np.arange(vocab) % 2.0), (len(prefixes), 1))
+
+        scheme = SidScheme((16, 8), (4,))
+        space = itertools.product(*(range(n) for n in scheme.sizes))
+        oracle = sorted(space, key=lambda digits: (sum(d % 2 for d in digits), digits))
+        hits = beam_search(Sid((0, 0), (0,)), ParityScorer(), 100, scheme=scheme,
+                           constrained=False)
+        assert [h.sid.digits for h in hits] == oracle[:100]
+        assert [-h.score for h in hits] == [sum(d % 2 for d in o) for o in oracle[:100]]
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    @pytest.mark.parametrize("block", [
+        lambda b, v: np.full((b, v), np.nan),
+        lambda b, v: np.where(np.arange(v) == v - 1, np.inf, 0.0) * np.ones((b, 1)),
+        lambda b, v: np.where(np.arange(v) == 0, -np.inf, 0.0) * np.ones((b, 1)),
+        lambda b, v: np.zeros((b, v + 1)),
+        lambda b, v: np.zeros(v),
+        lambda b, v: np.zeros((b + 1, v)),
+    ])
+    def test_bad_step_block_rejected(self, trie, constrained, block):
+        class BlockScorer:
+            def score_step(self, context, prefixes, vocab):
+                return block(len(prefixes), vocab)
+
+        with pytest.raises(ValueError, match="finite scores of shape"):
+            beam_search(sid(0, 0, 0), BlockScorer(), 4, trie=trie, constrained=constrained)
+
     def test_empty_trie_constrained_empty_result(self):
         trie = build_trie(catalog_of({}))
         assert beam_search(sid(0, 0, 0), UniformScorer(), 4, trie=trie) == []
@@ -173,13 +224,13 @@ class TestCooccurrenceScorer:
         scorer = cooccurrence_fit([(q, i)], SCHEME)
         for pos, digit in enumerate(i.digits):
             prefix = i.digits[:pos]
-            scores = [scorer.score(q, prefix, d) for d in range(SCHEME.sizes[pos])]
+            scores = [digit_score(scorer, q, prefix, d, SCHEME) for d in range(SCHEME.sizes[pos])]
             assert int(np.argmax(scores)) == digit
 
     def test_unseen_query_uniform(self):
         scorer = cooccurrence_fit([(sid(1, 0, 0), sid(2, 1, 1))], SCHEME)
         unseen = sid(0, 0, 0)
-        scores = [scorer.score(unseen, (), d) for d in range(3)]
+        scores = [digit_score(scorer, unseen, (), d, SCHEME) for d in range(3)]
         assert scores[0] == pytest.approx(scores[1]) == pytest.approx(scores[2])
         assert scores[0] == pytest.approx(math.log(1 / 3))
 
@@ -187,14 +238,14 @@ class TestCooccurrenceScorer:
         q = sid(1, 0, 0)
         a, b = sid(0, 1, 0), sid(2, 2, 1)
         scorer = cooccurrence_fit([(q, a), (q, a), (q, b)], SCHEME)
-        assert scorer.score(q, (), 0) > scorer.score(q, (), 2)
+        assert digit_score(scorer, q, (), 0, SCHEME) > digit_score(scorer, q, (), 2, SCHEME)
 
     def test_add_one_smoothing_counts(self):
         q = sid(1, 0, 0)
         scorer = cooccurrence_fit([(q, sid(0, 0, 0))], SCHEME)
         # position 0 under q1=1: counts {0: 1}, vocab 3
-        assert scorer.score(q, (), 0) == pytest.approx(math.log(2 / 4))
-        assert scorer.score(q, (), 1) == pytest.approx(math.log(1 / 4))
+        assert digit_score(scorer, q, (), 0, SCHEME) == pytest.approx(math.log(2 / 4))
+        assert digit_score(scorer, q, (), 1, SCHEME) == pytest.approx(math.log(1 / 4))
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -216,14 +267,42 @@ class TestCooccurrenceScorer:
         with pytest.raises(ValueError):
             cooccurrence_fit([], SCHEME)
 
+    def test_step_rows_equal_per_digit_formula_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        pairs = [(sid(int(rng.integers(3)), 0, 0),
+                  sid(*(int(rng.integers(n)) for n in SCHEME.sizes))) for _ in range(40)]
+        scorer = cooccurrence_fit(pairs, SCHEME)
+        for q1, pos in itertools.product(range(3), range(SCHEME.length)):
+            vocab = SCHEME.sizes[pos]
+            prefixes = list(itertools.product(*(range(n) for n in SCHEME.sizes[:pos])))
+            rows = scorer.score_step(sid(q1, 0, 0), np.array(prefixes, dtype=np.int64)
+                                     .reshape(len(prefixes), pos), vocab)
+            for row, prefix in zip(rows.tolist(), prefixes):
+                slot = scorer.counts.get((pos, q1, prefix[-1] if prefix else -1), {})
+                total = sum(slot.values())
+                assert row == [math.log((slot.get(d, 0) + 1) / (total + vocab))
+                               for d in range(vocab)]
+
+    def test_query_digit_outside_scheme_rejected(self):
+        with pytest.raises(ValueError, match="query digit 3"):
+            cooccurrence_fit([(sid(3, 0, 0), sid(0, 0, 0))], SCHEME)
+
+    def test_step_outside_scheme_rejected(self):
+        scorer = cooccurrence_fit([(sid(1, 0, 0), sid(0, 0, 0))], SCHEME)
+        with pytest.raises(ValueError, match="position 0 of 4 codes"):
+            scorer.score_step(sid(1, 0, 0), np.zeros((1, 0), dtype=np.int64), 4)
+        with pytest.raises(ValueError, match="position 3"):
+            scorer.score_step(sid(1, 0, 0), np.zeros((1, 3), dtype=np.int64), 2)
+
     def test_list_context_changed_between_calls(self):
         scorer = cooccurrence_fit([(sid(1, 0, 0), sid(0, 0, 0))], SCHEME)
         context = [1]
-        assert scorer.score(context, (), 0) == pytest.approx(math.log(2 / 4))
+        assert digit_score(scorer, context, (), 0, SCHEME) == pytest.approx(math.log(2 / 4))
         context[0] = 2  # an unseen query digit: uniform over 3 codes
-        assert scorer.score(context, (), 0) == pytest.approx(math.log(1 / 3))
+        assert digit_score(scorer, context, (), 0, SCHEME) == pytest.approx(math.log(1 / 3))
         fresh = cooccurrence_fit([(sid(1, 0, 0), sid(0, 0, 0))], SCHEME)
-        assert scorer.score(context, (), 0) == fresh.score([2], (), 0)
+        assert (digit_score(scorer, context, (), 0, SCHEME)
+                == digit_score(fresh, [2], (), 0, SCHEME))
 
 
 class TestRerankWithRscore:

@@ -222,6 +222,31 @@ class TestMalformedLines:
         path.write_text('{"truth":["i1"]}\n')
         _raises_at(lambda p: cli._read_cases(p, SCHEME), str(path), f"{path}:1")
 
+    def test_generate_context_file_not_utf8(self, tmp_path):
+        (tmp_path / "items.sids").write_text("i1\t1,2,0\n")
+        scorer = tmp_path / "scorer.json"
+        scorer.write_text(json.dumps({"rq_sizes": [4, 4], "opq_sizes": [3], "counts": {}}))
+        path = tmp_path / "prompt.txt"
+        path.write_bytes(b"\xff\xfe")
+        assert "not UTF-8" in _raises_at(lambda p: cli.main([
+            "generate", "--trie-from", str(tmp_path / "items.sids"), "--levels", "4,4",
+            "--opq", "1x3", "--scorer", str(scorer), "--context", p]), str(path), path)
+
+    @pytest.mark.parametrize("name, line", [
+        ("preference_lists", '{"context":"q","winner":"w","losers":"ab","deltas":[0.5,0.5]}'),
+        ("preference_lists", '{"context":"q","winner":"w","losers":[1],"deltas":[0.5]}'),
+        ("cases", '{"context":"1,2,0","truth":"i1"}'),
+        ("cases", '{"context":"1,2,0","truth":[["i1"]]}'),
+        ("sessions", '{"session_id":"s","query_id":"q1","clicked_item":"i1","short_clicks":"i2"}'),
+        ("sessions", '{"session_id":"s","query_id":"q1","clicked_item":"i1","long_clicks":"i2"}'),
+        ("sessions", '{"session_id":"s","query_id":"q1","clicked_item":"i1","short_clicks":null}'),
+    ])
+    def test_id_list_field_that_is_not_a_list_of_strings(self, readers, tmp_path, name, line):
+        read, valid = readers[name]
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(valid[0] + "\n" + line + "\n")
+        assert "list of id strings" in _raises_at(read, path, f"{path}:2")
+
     def test_json_line_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "lists.jsonl"
         path.write_text("[1, 2]\n")
@@ -269,6 +294,29 @@ class TestWholeFileJson:
         path = tmp_path / "scorer.json"
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         _raises_at(CooccurrenceScorer.load, path, path)
+
+    @pytest.mark.parametrize("key", [
+        "3,1,0,0",    # pos past the scheme's length
+        "-1,1,-1,0",  # negative pos
+        "0,4,-1,0",   # q1 past the first level
+        "0,-1,-1,0",  # negative q1
+        "0,1,0,0",    # prev other than -1 at pos 0
+        "1,1,-1,0",   # prev -1 after pos 0
+        "1,1,4,0",    # prev past the previous position's codes
+        "0,1,-1,99",  # digit past the position's codes
+        "2,1,0,-1",   # negative digit
+    ])
+    def test_scorer_count_key_outside_scheme_names_the_path(self, tmp_path, key):
+        path = tmp_path / "scorer.json"
+        path.write_text(json.dumps({"rq_sizes": [4, 4], "opq_sizes": [3], "counts": {key: 1}}))
+        assert "outside the scheme" in _raises_at(CooccurrenceScorer.load, path, path)
+
+    def test_scorer_count_keys_inside_scheme_load(self, tmp_path):
+        path = tmp_path / "scorer.json"
+        keys = ["0,3,-1,3", "1,0,3,0", "2,1,0,2"]
+        path.write_text(json.dumps({"rq_sizes": [4, 4], "opq_sizes": [3],
+                                    "counts": {k: 2 for k in keys}}))
+        assert len(CooccurrenceScorer.load(path).counts) == 3
 
     @pytest.mark.parametrize("spec", ['{"clusters": 2, "flavour": 1}', "{", "[]"])
     def test_bad_synth_spec_names_the_path(self, tmp_path, spec):
