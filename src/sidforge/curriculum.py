@@ -168,13 +168,12 @@ def build_stage3(
             effective = list(sess.short_clicks)
             if not effective or effective[-1] != sess.clicked_sid:
                 effective.append(sess.clicked_sid)
-            for sid in effective:
-                scheme.validate(sid)
             long_items = sess.long_clicks or tuple(effective)
+            # build_user_sid validates every SID; its ValueError skips the session
             user = build_user_sid(
                 BehaviorSequence(tuple(effective), "short_click"),
                 BehaviorSequence(tuple(long_items), "long_click"),
-                codebook,
+                scheme,
             )
         except ValueError:
             stats.skipped += 1

@@ -241,8 +241,10 @@ def run_eval(
     beam: int | None = None,
     sid_catalog: SidCatalog | None = None,
 ) -> EvalReport:
-    """Encode the catalog, generate per case, and score HR/MRR per k.
+    """Encode the catalog, generate per context, and score HR/MRR per k.
 
+    Cases with equal contexts share one beam search (a list context is
+    keyed by its tuple), so contexts must be hashable and the scorer pure.
     Pass ``sid_catalog`` to rank against precomputed (e.g. fit-assignment)
     codes instead of greedy re-encoding the catalog.
     """
@@ -257,10 +259,14 @@ def run_eval(
     trie = build_trie(sid_catalog)
     beam_width = beam if beam is not None else max(ks)
 
+    ranked: dict[object, tuple[str, ...]] = {}
     filled: list[EvalCase] = []
     for case in cases:
-        hits = beam_search(case.context, scorer, beam_width, trie=trie)
-        filled.append(EvalCase(case.context, case.truth, tuple(rank_items(hits, trie))))
+        key = tuple(case.context) if isinstance(case.context, list) else case.context
+        if key not in ranked:
+            hits = beam_search(case.context, scorer, beam_width, trie=trie)
+            ranked[key] = tuple(rank_items(hits, trie))
+        filled.append(EvalCase(case.context, case.truth, ranked[key]))
 
     report = EvalReport(
         ks=list(ks),

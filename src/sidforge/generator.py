@@ -26,6 +26,10 @@ DEFAULT_BEAM = 512
 
 
 class Scorer(Protocol):
+    """``score_step`` must be a pure function of its arguments: equal
+    contexts and prefixes give equal rows, which lets ``run_eval`` search
+    each distinct context once."""
+
     def score_step(self, context, prefixes: np.ndarray, vocab: int) -> np.ndarray: ...
 
 
@@ -220,6 +224,8 @@ class CooccurrenceScorer:
             sizes = scorer.scheme.sizes
             for key, count in counts.items():
                 pos, q1, prev, digit = (int(x) for x in key.split(","))
+                if key != f"{pos},{q1},{prev},{digit}":
+                    raise ValueError(f"count key {key!r} is not in canonical form")
                 if not (0 <= pos < len(sizes) and 0 <= q1 < sizes[0] and 0 <= digit < sizes[pos]
                         and (prev == -1 if pos == 0 else 0 <= prev < sizes[pos - 1])):
                     raise ValueError(f"count key {key!r} is outside the scheme {sizes}")

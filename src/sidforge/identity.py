@@ -8,6 +8,7 @@ long sequences each contribute a 5-digit part, giving a 10-digit user id.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -72,12 +73,18 @@ class UserSid:
             raise ValueError("user id must have 10 digits (5 short + 5 long)")
 
 
+@functools.lru_cache(maxsize=MAX_WEIGHTED_LENGTH)
 def decay_weights(m: int) -> np.ndarray:
-    """exp(sqrt(i)) / sum, i = 1..m; positive, summing to 1, increasing."""
+    """exp(sqrt(i)) / sum, i = 1..m; positive, summing to 1, increasing.
+
+    Computed once per length and shared, so the array is read-only.
+    """
     if m < 1:
         raise ValueError("need at least one position")
     raw = np.exp(np.sqrt(np.arange(1, m + 1, dtype=np.float64)))
-    return raw / raw.sum()
+    lam = raw / raw.sum()
+    lam.flags.writeable = False
+    return lam
 
 
 def _weighted_part(items: Sequence[Sid], scheme: SidScheme) -> tuple[int, ...]:

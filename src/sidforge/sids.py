@@ -8,11 +8,15 @@ everywhere as comma-joined digits, e.g. ``17,3,250,12,98``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from ._records import read_records
+
+# Entries one scheme's parse memo holds at most; texts past it are parsed
+# every time, so memory stays bounded on catalogs of 10^6 distinct SIDs.
+_PARSE_MEMO_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,9 @@ class SidScheme:
 
     rq_sizes: tuple[int, ...]
     opq_sizes: tuple[int, ...] = ()
+    # text -> Sid for texts that parsed and validated
+    _parsed: dict[str, Sid] = field(default_factory=dict, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self) -> None:
         if not self.rq_sizes:
@@ -67,12 +74,18 @@ class SidScheme:
         return sid
 
     def parse(self, text: str) -> Sid:
+        sid = self._parsed.get(text)
+        if sid is not None:
+            return sid
         parts = text.split(",")
         if len(parts) != self.length:
             raise ValueError(f"expected {self.length} digits, got {len(parts)!r} in {text!r}")
         digits = tuple(int(p) for p in parts)
         n_rq = len(self.rq_sizes)
-        return self.validate(Sid(rq=digits[:n_rq], opq=digits[n_rq:]))
+        sid = self.validate(Sid(rq=digits[:n_rq], opq=digits[n_rq:]))
+        if len(self._parsed) < _PARSE_MEMO_CAP:
+            self._parsed[text] = sid
+        return sid
 
 
 class SidCatalog:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sidforge
 from sidforge.cli import main
 from sidforge.embedding import Catalog, load_catalog, save_catalog
 from sidforge.sids import SidScheme, read_sid_file
@@ -301,3 +306,58 @@ class TestCurriculumCommands:
         rows = [l.split("\t") for l in gen_out.read_text().splitlines()]
         assert len(rows) == 16
         assert any(r[3] == "-" for r in rows)
+
+
+# synth -> fit-codebook -> encode -> curriculum 3 -> fit-scorer -> evaluate
+# into argv[1]; each query is an eval context three times
+_PIPELINE = """
+import json, sys
+from pathlib import Path
+from sidforge.cli import main
+
+out, spec = Path(sys.argv[1]), sys.argv[2]
+scheme = ["--levels", "4,3,2", "--opq", "2x2"]
+steps = [
+    ["synth", "--spec", spec, "--out", str(out / "data")],
+    ["fit-codebook", "--catalog", str(out / "data" / "items.catalog"), *scheme,
+     "--balanced-last", "--seed", "3", "--out", str(out / "cb.bin")],
+    ["encode", "--codebook", str(out / "cb.bin"),
+     "--catalog", str(out / "data" / "items.catalog"), "--out", str(out / "items.sids")],
+    ["encode", "--codebook", str(out / "cb.bin"),
+     "--catalog", str(out / "data" / "queries.catalog"), "--out", str(out / "queries.sids")],
+    ["curriculum", "--stage", "3", "--sessions", str(out / "data" / "sessions.jsonl"),
+     "--sids", str(out / "items.sids"), "--query-sids", str(out / "queries.sids"),
+     "--codebook", str(out / "cb.bin"), "--out", str(out / "stage3.tsv")],
+    ["fit-scorer", "--records", str(out / "stage3.tsv"), *scheme,
+     "--out", str(out / "scorer.json")],
+]
+for argv in steps:
+    assert main(argv) == 0, argv
+with open(out / "cases.jsonl", "w", encoding="utf-8") as f:
+    for line in (out / "queries.sids").read_text(encoding="utf-8").splitlines():
+        q_id, rendered = line.split("\\t")
+        for i in range(3):
+            truth = [f"item{q_id.removeprefix('query')}_{i}"]
+            f.write(json.dumps({"context": rendered, "truth": truth}) + "\\n")
+assert main(["evaluate", "--codebook", str(out / "cb.bin"), "--scorer", str(out / "scorer.json"),
+             "--catalog", str(out / "data" / "items.catalog"), "--cases", str(out / "cases.jsonl"),
+             "--k", "1,5", "--beam", "8", "--out", str(out / "eval.tsv")]) == 0
+"""
+
+
+def test_pipeline_outputs_do_not_depend_on_hash_seed(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"clusters": 4, "items_per_cluster": 8, "dim": 6,
+                                "noise_scale": 0.4, "sessions": 40, "seed": 11}))
+    src = str(Path(sidforge.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", _PIPELINE, str(out), str(spec)],
+                       env=env, check=True, timeout=300)
+        outputs.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    assert "eval.tsv" in outputs[0] and outputs[0]["stage3.tsv"]
+    assert outputs[0] == outputs[1]

@@ -7,10 +7,12 @@ from sidforge.evalharness import (
     SyntheticSpec,
     hitrate_at_k,
     mrr_at_k,
+    rank_items,
     run_eval,
     synth_catalog,
 )
-from sidforge.generator import UniformScorer
+from sidforge.generator import UniformScorer, beam_search, build_trie, cooccurrence_fit
+from sidforge.identity import UserSid, assemble_prompt
 from sidforge.quantizer import encode_batch, fit_codebook
 from sidforge.sidmetrics import cur, icr
 from sidforge.sids import SidCatalog
@@ -165,6 +167,36 @@ def bundle_and_cb():
     return bundle, cb
 
 
+class _CountingScorer:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def score_step(self, context, prefixes, vocab):
+        self.calls += 1
+        return self.inner.score_step(context, prefixes, vocab)
+
+
+def _repeated_context_cases(bundle_and_cb):
+    """Each query as a Sid context three times and as a freshly built
+    prompt token list twice, with truths in and out of its cluster."""
+    bundle, cb = bundle_and_cb
+    item_sids = dict(zip(bundle.items.ids, encode_batch(bundle.items.matrix, cb)))
+    q_sids = dict(zip(bundle.queries.ids, encode_batch(bundle.queries.matrix, cb)))
+    scorer = cooccurrence_fit(
+        [(q_sids[q_id], item_sids[f"item{c}_{i}"])
+         for q_id, c in bundle.query_cluster.items() for i in range(3)], cb.scheme)
+    user = UserSid((0, 1, 2, 3, 0), (1, 1, 1, 1, 1))
+    cases = []
+    for q_id, c in sorted(bundle.query_cluster.items()):
+        for j in range(3):
+            cases.append(EvalCase(q_sids[q_id], frozenset({f"item{(c + j) % 6}_{j}"})))
+        for j in range(2):
+            prompt = assemble_prompt(user, "red shoes", q_sids[q_id])
+            cases.append(EvalCase(prompt, frozenset({f"item{c}_{j + 4}"})))
+    return bundle, cb, scorer, cases
+
+
 class TestRunEval:
     def test_oracle_scorer_perfect_hit_at_one(self, bundle_and_cb):
         bundle, cb = bundle_and_cb
@@ -207,6 +239,30 @@ class TestRunEval:
         bundle, cb = bundle_and_cb
         with pytest.raises(ValueError):
             run_eval(cb, UniformScorer(), [], [1], bundle.items)
+
+    def test_repeated_contexts_match_per_case_reference(self, bundle_and_cb):
+        bundle, cb, scorer, cases = _repeated_context_cases(bundle_and_cb)
+        report = run_eval(cb, scorer, cases, [1, 3, 10], bundle.items, beam=8)
+
+        sid_cat = SidCatalog(dict(zip(bundle.items.ids, encode_batch(bundle.items.matrix, cb))),
+                             cb.scheme)
+        trie = build_trie(sid_cat)
+        filled = [EvalCase(c.context, c.truth,
+                           tuple(rank_items(beam_search(c.context, scorer, 8, trie=trie), trie)))
+                  for c in cases]
+        assert report.hitrate == {k: hitrate_at_k(filled, k) for k in (1, 3, 10)}
+        assert report.mrr == {k: mrr_at_k(filled, k) for k in (1, 3, 10)}
+        assert report.n_cases == len(cases)
+        assert 0.0 < report.hitrate[10] < 1.0
+
+    def test_one_search_per_distinct_context(self, bundle_and_cb):
+        bundle, cb, scorer, cases = _repeated_context_cases(bundle_and_cb)
+        counting = _CountingScorer(scorer)
+        run_eval(cb, counting, cases, [5], bundle.items, beam=8)
+        distinct = {tuple(c.context) if isinstance(c.context, list) else c.context
+                    for c in cases}
+        assert len(distinct) < len(cases)
+        assert counting.calls == len(distinct) * cb.scheme.length
 
     def test_uniform_scorer_hitrate_near_k_over_n(self):
         # uniform scores return one fixed tie-break ranking, so with truth

@@ -44,6 +44,15 @@ class TestDecayWeights:
             assert lam.sum() == pytest.approx(1.0)
             assert np.all(np.diff(lam) > 0)
 
+    def test_caller_cannot_change_a_later_user_sid(self):
+        short = BehaviorSequence((sid(10, 10, 10, 10, 10), sid(20, 20, 20, 20, 20)))
+        long = BehaviorSequence((sid(1, 2, 3, 4, 5),), "long_click")
+        before = build_user_sid(short, long, SCHEME)
+        lam = decay_weights(2)
+        with pytest.raises(ValueError, match="read-only"):
+            lam[:] = [1.0, 0.0]
+        assert build_user_sid(short, long, SCHEME) == before
+
 
 class TestBuildUserSid:
     def test_single_item_sequences_pass_through(self):

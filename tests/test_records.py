@@ -311,6 +311,17 @@ class TestWholeFileJson:
         path.write_text(json.dumps({"rq_sizes": [4, 4], "opq_sizes": [3], "counts": {key: 1}}))
         assert "outside the scheme" in _raises_at(CooccurrenceScorer.load, path, path)
 
+    @pytest.mark.parametrize("counts", [
+        {"0,1,-1,02": 1},
+        {"0,1,-1,+2": 1},
+        {"0,1,-1, 2": 1},
+        {"0,1,-1,2": 5, "0,1,-1,02": 1},  # two spellings of one slot digit
+    ])
+    def test_scorer_count_key_not_canonical_names_the_path(self, tmp_path, counts):
+        path = tmp_path / "scorer.json"
+        path.write_text(json.dumps({"rq_sizes": [4, 4], "opq_sizes": [3], "counts": counts}))
+        assert "canonical" in _raises_at(CooccurrenceScorer.load, path, path)
+
     def test_scorer_count_keys_inside_scheme_load(self, tmp_path):
         path = tmp_path / "scorer.json"
         keys = ["0,3,-1,3", "1,0,3,0", "2,1,0,2"]
