@@ -291,9 +291,10 @@ def cmd_curriculum(args) -> None:
 
 def cmd_fit_scorer(args) -> None:
     scheme = _scheme_from_args(args)
-    records = [r for r in curr.read_task_records(args.records) if r.stage == 3]
-    scorer = cooccurrence_fit(records, scheme)
-    scorer.save(args.out)
+    codes = curr.read_stage3_codes(args.records, scheme)
+    if len(codes) == 0:
+        raise ValueError(f"{args.records}: no stage-3 records to fit a scorer on")
+    cooccurrence_fit(codes, scheme).save(args.out)
 
 
 def cmd_generate(args) -> None:
@@ -328,8 +329,15 @@ def cmd_evaluate(args) -> None:
     scorer = CooccurrenceScorer.load(args.scorer)
     catalog = load_catalog(args.catalog)
     cases = _read_cases(args.cases, codebook.scheme)
+    sid_catalog = None
+    if args.sids:
+        sid_catalog = read_sid_file(args.sids, codebook.scheme)
+        if sid_catalog.entries.keys() != set(catalog.ids):
+            raise ValueError(f"{args.sids}: SID file ids differ from the catalog's ids "
+                             f"({len(sid_catalog)} SIDs, {len(catalog.ids)} catalog items)")
     ks = _parse_levels(args.k)
-    report = ev.run_eval(codebook, scorer, cases, ks, catalog, beam=args.beam)
+    report = ev.run_eval(codebook, scorer, cases, ks, catalog, beam=args.beam,
+                         sid_catalog=sid_catalog)
     text = report.render()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -485,6 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", required=True, help="JSONL {context, truth}")
     p.add_argument("--k", default="10")
     p.add_argument("--beam", type=int, default=None)
+    p.add_argument("--sids", help="the catalog's official SIDs (fit-codebook --sids-out); "
+                                  "without it the catalog is greedily re-encoded")
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 

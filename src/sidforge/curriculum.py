@@ -8,12 +8,14 @@ prefixes every input so one trainer can multiplex tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from ._records import read_records
-from .identity import BehaviorSequence, assemble_prompt, build_user_sid
+from .identity import BehaviorSequence, UserSid, parse_prompt, prompt_windows, user_parts
 from .quantizer import RqOpqCodebook
 from .sids import Sid, SidScheme
 
@@ -31,8 +33,18 @@ TASK_TAGS = {
 
 DEFAULT_MAX_WINDOW = 5
 
+# a stage-3 input ends with this token when its session names an aggregate file
+AGGREGATE_PREFIX = "agg:"
 
-@dataclass(frozen=True)
+
+def _check_kind(stage: int, task_tag: str) -> None:
+    if stage not in (1, 2, 3):
+        raise ValueError(f"stage must be 1, 2 or 3, got {stage}")
+    if task_tag not in TASK_TAGS:
+        raise ValueError(f"unknown task tag {task_tag!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     stage: int
     task_tag: str
@@ -40,10 +52,7 @@ class TaskRecord:
     target_tokens: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.stage not in (1, 2, 3):
-            raise ValueError(f"stage must be 1, 2 or 3, got {self.stage}")
-        if self.task_tag not in TASK_TAGS:
-            raise ValueError(f"unknown task tag {self.task_tag!r}")
+        _check_kind(self.stage, self.task_tag)
         if not self.input_tokens or not self.target_tokens:
             raise ValueError("input and target token sequences must be nonempty")
         object.__setattr__(self, "input_tokens", tuple(self.input_tokens))
@@ -159,34 +168,71 @@ def build_stage3(
     targets the session's clicked item directly. The long sequence backs
     the user id (falling back to the short side when absent), and an
     aggregate-file reference token rides along when the session names one.
+    A session with an invalid click SID, or a sequence over its length
+    cap, is skipped.
+
+    Each distinct SID is validated and rendered once per call, the user
+    parts of all sessions come from one :func:`user_parts` call, and each
+    session's prompt head is built once for all of its windows.
     """
-    records: list[TaskRecord] = []
-    stats = StageStats()
     scheme = codebook.scheme
+    rendered: dict[Sid, str] = {}
+    rows: dict[Sid, int] = {}  # valid click SID -> its row of `digits`
+    digits: list[tuple[int, ...]] = []
+
+    def render(sid: Sid) -> str:
+        text = rendered.get(sid)
+        if text is None:
+            text = rendered[sid] = sid.render()
+        return text
+
+    def click_rows(sids: Sequence[Sid]) -> list[int]:
+        out = []
+        for sid in sids:
+            row = rows.get(sid)
+            if row is None:
+                scheme.validate(sid)
+                row = rows[sid] = len(digits)
+                digits.append(sid.digits)
+            out.append(row)
+        return out
+
+    stats = StageStats()
+    kept: list[tuple[Session, list[Sid]]] = []
+    sequences: list[list[int]] = []  # short, then long click rows of each kept session
     for sess in sessions:
+        effective = list(sess.short_clicks)
+        if not effective or effective[-1] != sess.clicked_sid:
+            effective.append(sess.clicked_sid)
+        long_items = sess.long_clicks or effective
         try:
-            effective = list(sess.short_clicks)
-            if not effective or effective[-1] != sess.clicked_sid:
-                effective.append(sess.clicked_sid)
-            long_items = sess.long_clicks or tuple(effective)
-            # build_user_sid validates every SID; its ValueError skips the session
-            user = build_user_sid(
-                BehaviorSequence(tuple(effective), "short_click"),
-                BehaviorSequence(tuple(long_items), "long_click"),
-                scheme,
-            )
+            # the sequences' length caps; their ValueError skips the session
+            BehaviorSequence(tuple(effective), "short_click")
+            BehaviorSequence(tuple(long_items), "long_click")
+            short_rows = click_rows(effective)
+            long_rows = click_rows(long_items) if sess.long_clicks else short_rows
         except ValueError:
             stats.skipped += 1
             continue
-        for window, target in sliding_window(effective, max_window):
-            prompt = assemble_prompt(
-                user, sess.query_text, sess.query_sid,
-                recent_queries=sess.recent_queries, short_clicks=window,
-            )
-            inputs = list(prompt)
-            if sess.aggregate_ref is not None:
-                inputs.append(f"agg:{sess.aggregate_ref}")
-            records.append(_rec(3, "personalization", inputs, [target.render()]))
+        kept.append((sess, effective))
+        sequences += [short_rows, long_rows]
+
+    table = np.array(digits, dtype=np.float64).reshape(len(digits), scheme.length)
+    parts = user_parts(sequences, table, scheme.sizes).tolist()
+    records: list[TaskRecord] = []
+    for (sess, effective), short_part, long_part in zip(kept, parts[0::2], parts[1::2]):
+        try:
+            user = UserSid(tuple(short_part), tuple(long_part))
+        except ValueError:
+            stats.skipped += 1
+            continue
+        pairs = sliding_window([render(sid) for sid in effective], max_window)
+        prompts = prompt_windows(user, sess.query_text, render(sess.query_sid),
+                                 [render(sid) for sid in sess.recent_queries],
+                                 [window for window, _ in pairs])
+        agg = [] if sess.aggregate_ref is None else [f"{AGGREGATE_PREFIX}{sess.aggregate_ref}"]
+        for prompt, (_, target) in zip(prompts, pairs):
+            records.append(_rec(3, "personalization", prompt + agg, (target,)))
         stats.emitted += 1
     return records, stats
 
@@ -202,3 +248,27 @@ def write_task_records(records: Iterable[TaskRecord], path: str | Path) -> None:
 def read_task_records(path: str | Path) -> list[TaskRecord]:
     return read_records(path, lambda stage, tag, inputs, targets: TaskRecord(
         int(stage), tag, tuple(inputs.split(" ")), tuple(targets.split(" "))), fields=4)
+
+
+def read_stage3_codes(path: str | Path, scheme: SidScheme) -> np.ndarray:
+    """The ``(query first digit, target digits...)`` row of each stage-3
+    record in a record file, as an ``(n, 1 + L)`` int array.
+
+    Every line is checked as a record and every stage-3 prompt is parsed
+    in full; lines of other stages are skipped.
+    """
+
+    def codes(stage: str, tag: str, inputs: str, targets: str) -> tuple[int, ...] | None:
+        _check_kind(int(stage), tag)
+        if int(stage) != 3:
+            return None
+        tokens = inputs.split(" ")
+        if tokens[0].startswith("<T"):
+            tokens = tokens[1:]
+        if tokens and tokens[-1].startswith(AGGREGATE_PREFIX):
+            tokens = tokens[:-1]
+        query = parse_prompt(tokens, scheme).query_sid
+        return (query.rq[0], *scheme.parse(targets.split(" ")[0]).digits)
+
+    rows = [row for row in read_records(path, codes, fields=4) if row is not None]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 1 + scheme.length)

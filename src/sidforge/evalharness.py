@@ -9,7 +9,7 @@ cluster center, so keyword enhancement measurably tightens clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .embedding import Catalog, Embedding, KeywordSet
 from .generator import Scorer, SidTrie, beam_search, build_trie
 from .quantizer import RqOpqCodebook, encode_batch
 from .sidmetrics import cur, icr
-from .sids import Sid, SidCatalog
+from .sids import SidCatalog
 
 
 @dataclass(frozen=True)
@@ -179,22 +179,6 @@ def synth_catalog(spec: SyntheticSpec) -> SynthBundle:
                 short_clicks=click_ids[:-1],
             ))
     return SynthBundle(items, categories, keywords, queries, query_cluster, sessions)
-
-
-class OracleScorer:
-    """Peeks at the per-context truth SID (0 on its digit, -1e9 elsewhere); an upper bound."""
-
-    def __init__(self, truth_sids: Mapping[object, Sid]):
-        self.truth_sids = dict(truth_sids)
-
-    def score_step(self, context, prefixes: np.ndarray, vocab: int) -> np.ndarray:
-        sid = self.truth_sids.get(context if not isinstance(context, list) else tuple(context))
-        rows = np.zeros((len(prefixes), vocab))
-        if sid is not None:
-            pos = prefixes.shape[1]
-            truth = sid.digits[pos] if pos < len(sid.digits) else -1
-            rows[:, np.arange(vocab) != truth] = -1e9
-        return rows
 
 
 @dataclass

@@ -175,17 +175,6 @@ class CooccurrenceScorer:
             return parse_prompt(context, self.scheme).query_sid.rq[0]
         raise ValueError(f"cannot extract a query digit from context {context!r}")
 
-    def observe(self, query_sid: Sid, target_sid: Sid) -> None:
-        q1 = query_sid.rq[0]
-        if not 0 <= q1 < self.scheme.rq_sizes[0]:
-            raise ValueError(f"query digit {q1} outside [0, {self.scheme.rq_sizes[0]})")
-        digits = self.scheme.validate(target_sid).digits
-        prev = -1
-        for pos, d in enumerate(digits):
-            slot = self.counts.setdefault((pos, q1, prev), {})
-            slot[d] = slot.get(d, 0) + 1
-            prev = d
-
     def score_step(self, context, prefixes: np.ndarray, vocab: int) -> np.ndarray:
         pos = prefixes.shape[1]
         if self.scheme.sizes[pos:pos + 1] != (vocab,):
@@ -237,31 +226,45 @@ class CooccurrenceScorer:
         return read_json(path, parse)
 
 
-def cooccurrence_fit(records: Iterable, scheme: SidScheme) -> CooccurrenceScorer:
-    """Fit the frequency scorer from personalization records or raw pairs.
+def cooccurrence_fit(records: Iterable[tuple[Sid, Sid]] | np.ndarray,
+                     scheme: SidScheme) -> CooccurrenceScorer:
+    """Fit the frequency scorer from ``(query_sid, target_sid)`` pairs, or
+    from an ``(n, 1 + L)`` int array whose rows hold a query's first digit
+    and then its target's digits.
 
-    Accepts stage-3 ``TaskRecord`` objects (the query SID is recovered from
-    the prompt, the target SID from the label) or plain
-    ``(query_sid, target_sid)`` tuples.
+    Each position is counted with one ``np.unique`` over packed
+    ``(query digit, previous digit, digit)`` keys.
     """
-    scorer = CooccurrenceScorer(scheme)
-    seen = 0
-    for rec in records:
-        if isinstance(rec, tuple) and len(rec) == 2 and isinstance(rec[0], Sid):
-            query_sid, target_sid = rec
-        else:
-            tokens = list(rec.input_tokens)
-            if tokens and tokens[0].startswith("<T"):
-                tokens = tokens[1:]
-            if tokens and tokens[-1].startswith("agg:"):
-                tokens = tokens[:-1]
-            parsed = parse_prompt(tokens, scheme)
-            query_sid = parsed.query_sid
-            target_sid = scheme.parse(rec.target_tokens[0])
-        scorer.observe(query_sid, target_sid)
-        seen += 1
-    if seen == 0:
+    if not isinstance(records, np.ndarray):
+        records = np.array([(query.rq[0], *scheme.validate(target).digits)
+                            for query, target in records], dtype=np.int64)
+    if records.size == 0:
         raise ValueError("cannot fit a co-occurrence scorer on zero records")
+    if records.shape[1:] != (1 + scheme.length,) or records.dtype.kind not in "iu":
+        raise ValueError(f"expected an (n, {1 + scheme.length}) int array, "
+                         f"got {records.dtype} of shape {records.shape}")
+    codes = records.astype(np.int64, copy=False)
+    q1 = codes[:, 0]
+    outside = (q1 < 0) | (q1 >= scheme.rq_sizes[0])
+    if outside.any():
+        raise ValueError(f"query digit {q1[outside][0]} outside [0, {scheme.rq_sizes[0]})")
+    sizes = np.array(scheme.sizes)
+    outside = (codes[:, 1:] < 0) | (codes[:, 1:] >= sizes)
+    if outside.any():
+        row, pos = np.argwhere(outside)[0]
+        raise ValueError(f"code {codes[row, 1 + pos]} at position {pos} "
+                         f"outside [0, {sizes[pos]})")
+    scorer = CooccurrenceScorer(scheme)
+    prev, prev_slots = np.full(len(codes), -1, dtype=np.int64), 1
+    for pos, vocab in enumerate(scheme.sizes):
+        digit = codes[:, 1 + pos]
+        keys, counts = np.unique((q1 * prev_slots + prev + 1) * vocab + digit,
+                                 return_counts=True)
+        for slot, d, count in zip((keys // vocab).tolist(), (keys % vocab).tolist(),
+                                  counts.tolist()):
+            q, p = divmod(slot, prev_slots)
+            scorer.counts.setdefault((pos, q, p - 1), {})[d] = count
+        prev, prev_slots = digit, vocab + 1
     return scorer
 
 

@@ -9,9 +9,8 @@ long sequences each contribute a 5-digit part, giving a 10-digit user id.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -87,19 +86,27 @@ def decay_weights(m: int) -> np.ndarray:
     return lam
 
 
-def _weighted_part(items: Sequence[Sid], scheme: SidScheme) -> tuple[int, ...]:
-    items = list(items)[-MAX_WEIGHTED_LENGTH:]
-    lam = decay_weights(len(items))
-    digits = np.array([sid.digits for sid in items], dtype=np.float64)
-    if digits.shape[1] != scheme.length:
-        raise ValueError(f"sequence SIDs have {digits.shape[1]} digits, scheme has {scheme.length}")
-    weighted = lam @ digits
-    part = []
-    for pos, (value, size) in enumerate(zip(weighted, scheme.sizes)):
+def user_parts(sequences: Sequence[Sequence[int]], digits: np.ndarray,
+               sizes: Sequence[int]) -> np.ndarray:
+    """The weighted parts of many sequences, as an ``(S, L)`` int array.
+
+    Each sequence lists rows of the ``(n, L)`` float ``digits`` table, oldest
+    first, and only its last ``MAX_WEIGHTED_LENGTH`` rows count. Sequences
+    of one length m share one ``decay_weights(m) @ stack`` over their
+    ``(S, m, L)`` stack, then each part is the digit-wise ceiling, clipped
+    to ``[0, size)``.
+    """
+    sequences = [seq[-MAX_WEIGHTED_LENGTH:] for seq in sequences]
+    by_length: dict[int, list[int]] = {}
+    for i, seq in enumerate(sequences):
+        by_length.setdefault(len(seq), []).append(i)
+    parts = np.empty((len(sequences), len(sizes)), dtype=np.int64)
+    top = np.asarray(sizes) - 1
+    for m, idx in by_length.items():
+        weighted = np.matmul(decay_weights(m), digits[np.array([sequences[i] for i in idx])])
         # guard against FP creep so exact-integer combinations stay put
-        code = math.ceil(value - 1e-9)
-        part.append(min(max(code, 0), size - 1))
-    return tuple(part)
+        parts[idx] = np.clip(np.ceil(weighted - 1e-9), 0, top)
+    return parts
 
 
 def build_user_sid(
@@ -111,9 +118,13 @@ def build_user_sid(
     scheme = codebook.scheme if isinstance(codebook, RqOpqCodebook) else codebook
     if len(short) == 0 or len(long) == 0:
         raise ValueError("behavior sequences must be nonempty; supply a default sequence first")
-    for sid in tuple(short.items) + tuple(long.items):
+    for sid in dict.fromkeys(short.items + long.items):  # each distinct SID once
         scheme.validate(sid)
-    return UserSid(_weighted_part(short.items, scheme), _weighted_part(long.items, scheme))
+    short_tail, long_tail = short.items[-MAX_WEIGHTED_LENGTH:], long.items[-MAX_WEIGHTED_LENGTH:]
+    digits = np.array([sid.digits for sid in short_tail + long_tail], dtype=np.float64)
+    n = len(short_tail)
+    short_part, long_part = user_parts([range(n), range(n, len(digits))], digits, scheme.sizes)
+    return UserSid(tuple(short_part.tolist()), tuple(long_part.tolist()))
 
 
 @dataclass(frozen=True)
@@ -186,36 +197,38 @@ def assemble_prompt(
     recent_queries: Sequence[Sid] = (),
     short_clicks: Sequence[Sid] = (),
 ) -> list[str]:
-    """Serialize one decoding context to tokens.
+    """Serialize one decoding context to tokens: :func:`prompt_windows`
+    with one window."""
+    return prompt_windows(user, query_text, query_sid.render(),
+                          [s.render() for s in recent_queries],
+                          [[s.render() for s in short_clicks]])[0]
+
+
+def prompt_windows(
+    user: UserSid,
+    query_text: str,
+    query_sid: str,
+    recent_queries: Sequence[str],
+    windows: Iterable[Sequence[str]],
+) -> list[list[str]]:
+    """One prompt per short-click window; SIDs come already rendered.
 
     Layout: ``[BOS] user [SEP] query-text [SEP] query-sid [SEP] q> ...
     [SEP] i> ... [EOS]``. Empty history segments are dropped together with
     their separator, so separators never stack; the ``q>``/``i>`` tags keep
     the parse unambiguous when only one history segment is present. SIDs
-    are rendered as single comma-joined tokens.
+    are single comma-joined tokens. The head up to the window is built once.
     """
     words = query_text.split()
     for w in words:
         if w in _RESERVED:
             raise ValueError(f"query text may not contain reserved token {w!r}")
-    short_render = ",".join(str(d) for d in user.short_part)
-    long_render = ",".join(str(d) for d in user.long_part)
-    segments: list[list[str]] = [
-        [short_render, long_render],
-        words,
-        [query_sid.render()],
-    ]
+    head = [BOS, ",".join(map(str, user.short_part)), ",".join(map(str, user.long_part)),
+            SEP, *words, SEP, query_sid]
     if recent_queries:
-        segments.append([RECENT_QUERIES_TAG] + [s.render() for s in recent_queries])
-    if short_clicks:
-        segments.append([SHORT_CLICKS_TAG] + [s.render() for s in short_clicks])
-    tokens = [BOS]
-    for i, seg in enumerate(segments):
-        if i > 0:
-            tokens.append(SEP)
-        tokens.extend(seg)
-    tokens.append(EOS)
-    return tokens
+        head += [SEP, RECENT_QUERIES_TAG, *recent_queries]
+    return [head + [SEP, SHORT_CLICKS_TAG, *window, EOS] if window else head + [EOS]
+            for window in windows]
 
 
 @dataclass(frozen=True)
@@ -232,19 +245,20 @@ def parse_prompt(tokens: Sequence[str], scheme: SidScheme) -> ParsedPrompt:
     tokens = list(tokens)
     if len(tokens) < 2 or tokens[0] != BOS or tokens[-1] != EOS:
         raise ValueError("prompt must be bracketed by [BOS] ... [EOS]")
-    segments: list[list[str]] = [[]]
-    for tok in tokens[1:-1]:
-        if tok == SEP:
-            segments.append([])
-        else:
-            segments[-1].append(tok)
+    segments: list[list[str]] = []
+    start = 1
+    for _ in range(tokens.count(SEP)):
+        end = tokens.index(SEP, start)
+        segments.append(tokens[start:end])
+        start = end + 1
+    segments.append(tokens[start:-1])
     if len(segments) < 3:
         raise ValueError(f"expected at least 3 segments, got {len(segments)}")
     user_seg = segments[0]
     if len(user_seg) != 2:
         raise ValueError("user segment must hold exactly two code groups")
-    short_part = tuple(int(d) for d in user_seg[0].split(","))
-    long_part = tuple(int(d) for d in user_seg[1].split(","))
+    short_part = tuple(map(int, user_seg[0].split(",")))
+    long_part = tuple(map(int, user_seg[1].split(",")))
     query_text = " ".join(segments[1])
     if len(segments[2]) != 1:
         raise ValueError("query-sid segment must hold exactly one SID")
@@ -256,9 +270,9 @@ def parse_prompt(tokens: Sequence[str], scheme: SidScheme) -> ParsedPrompt:
             raise ValueError("empty segment between separators")
         tag, rest = seg[0], seg[1:]
         if tag == RECENT_QUERIES_TAG:
-            recent = tuple(scheme.parse(t) for t in rest)
+            recent = tuple(map(scheme.parse, rest))
         elif tag == SHORT_CLICKS_TAG:
-            clicks = tuple(scheme.parse(t) for t in rest)
+            clicks = tuple(map(scheme.parse, rest))
         else:
             raise ValueError(f"unknown history segment tag {tag!r}")
     return ParsedPrompt(UserSid(short_part, long_part), query_text, query_sid, recent, clicks)

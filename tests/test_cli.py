@@ -308,6 +308,88 @@ class TestCurriculumCommands:
         assert any(r[3] == "-" for r in rows)
 
 
+class TestEvaluateSids:
+    def _scorer(self, workspace):
+        from sidforge.generator import cooccurrence_fit
+
+        sids = read_sid_file(workspace / "items.sids", SCHEME).sids()
+        path = workspace / "sids_scorer.json"
+        cooccurrence_fit([(sid, sid) for sid in sids], SCHEME).save(path)
+        return path
+
+    @pytest.mark.parametrize("edit", ["drop", "extra"])
+    def test_ids_differing_from_the_catalog_name_the_path(self, workspace, edit):
+        lines = (workspace / "items.sids").read_text().splitlines()
+        lines = lines[1:] if edit == "drop" else lines + [lines[0].replace("item", "other", 1)]
+        sids = workspace / f"{edit}.sids"
+        sids.write_text("\n".join(lines) + "\n")
+        cases = workspace / "one_case.jsonl"
+        cases.write_text(json.dumps({"context": lines[0].split("\t")[1],
+                                     "truth": ["item0_0"]}) + "\n")
+        with pytest.raises(ValueError) as info:
+            main(["evaluate", "--codebook", str(workspace / "cb.bin"),
+                  "--scorer", str(self._scorer(workspace)),
+                  "--catalog", str(workspace / "data" / "items.catalog"),
+                  "--cases", str(cases), "--sids", str(sids),
+                  "--out", str(workspace / "never.tsv")])
+        assert str(info.value).startswith(f"{sids}: SID file ids differ"), str(info.value)
+        assert not (workspace / "never.tsv").exists()
+
+
+def test_evaluate_with_sids_matches_run_eval_on_fit_sids(tmp_path):
+    """Criterion 9 through the CLI: ``evaluate --sids`` ranks against the
+    codes ``fit-codebook --sids-out`` wrote, as ``run_eval`` does with the
+    fit's own SIDs."""
+    from sidforge.evalharness import EvalCase, run_eval
+    from sidforge.generator import cooccurrence_fit
+    from sidforge.quantizer import encode_batch, fit_codebook
+    from sidforge.sids import SidCatalog
+
+    spec = {"clusters": 100, "items_per_cluster": 50, "dim": 16, "noise_scale": 0.5,
+            "center_scale": 10.0, "sessions": 20_000, "seed": 42}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
+    assert main(["fit-codebook", "--catalog", str(data / "items.catalog"),
+                 "--levels", "64,32,16", "--balanced-last", "--opq", "2x16", "--seed", "7",
+                 "--out", str(tmp_path / "cb.bin"), "--sids-out", str(tmp_path / "items.sids")]) == 0
+
+    items = load_catalog(data / "items.catalog")
+    cb = fit_codebook(items, (64, 32, 16), balanced_last=True, opq_subspaces=2, opq_codes=16,
+                      seed=7)
+    sid_catalog = SidCatalog(dict(zip(items.ids, cb.fit_sids)), cb.scheme)
+    queries = load_catalog(data / "queries.catalog")
+    q_sids = dict(zip(queries.ids, encode_batch(queries.matrix, cb)))
+    sessions = [json.loads(line) for line in (data / "sessions.jsonl").read_text().splitlines()]
+    train, test = sessions[:18_000], sessions[18_000:]
+    scorer = cooccurrence_fit([(q_sids[s["query_id"]], sid_catalog.entries[s["clicked_item"]])
+                               for s in train], cb.scheme)
+    scorer.save(tmp_path / "scorer.json")
+    cases = [EvalCase(q_sids[s["query_id"]], frozenset({s["clicked_item"]})) for s in test]
+    with open(tmp_path / "cases.jsonl", "w", encoding="utf-8") as f:
+        for s in test:
+            f.write(json.dumps({"context": q_sids[s["query_id"]].render(),
+                                "truth": [s["clicked_item"]]}) + "\n")
+    report = run_eval(cb, scorer, cases, [10], items, beam=16, sid_catalog=sid_catalog)
+
+    def evaluate(*sids):
+        out = tmp_path / "eval.tsv"
+        assert main(["evaluate", "--codebook", str(tmp_path / "cb.bin"),
+                     "--scorer", str(tmp_path / "scorer.json"),
+                     "--catalog", str(data / "items.catalog"),
+                     "--cases", str(tmp_path / "cases.jsonl"), "--k", "10", "--beam", "16",
+                     *sids, "--out", str(out)]) == 0
+        return {line.split("\t")[0]: line.split("\t")[1:]
+                for line in out.read_text().splitlines() if line}
+
+    rows = evaluate("--sids", str(tmp_path / "items.sids"))
+    assert rows["10"] == [repr(report.hitrate[10]), repr(report.mrr[10])]
+    assert rows["icr_full"] == [repr(report.catalog_icr_full)]
+    assert report.hitrate[10] > 0.2
+    # without --sids the catalog is re-encoded greedily, and many codes move
+    assert evaluate()["icr_full"] != rows["icr_full"]
+
+
 # synth -> fit-codebook -> encode -> curriculum 3 -> fit-scorer -> evaluate
 # into argv[1]; each query is an eval context three times
 _PIPELINE = """

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidforge import cli
-from sidforge.curriculum import read_task_records
+from sidforge.curriculum import read_stage3_codes, read_task_records
 from sidforge.embedding import Catalog, load_catalog, read_pairs
 from sidforge.generator import CooccurrenceScorer
 from sidforge.quantizer import fit_codebook, load_codebook, save_codebook
@@ -21,6 +21,7 @@ from sidforge.sids import SidScheme, read_sid_file, read_sid_sequence
 SCHEME = SidScheme((4, 4), (3,))
 ITEM_SIDS = {"i1": SCHEME.parse("1,2,0"), "i2": SCHEME.parse("3,0,2")}
 QUERY_SIDS = {"q1": SCHEME.parse("0,1,1")}
+PROMPT = "<T3> [BOS] 0,1,2,3,0 1,1,1,1,1 [SEP] red [SEP] 0,1,1 [SEP] i> 3,0,2 [EOS]"
 VEC = base64.b64encode(np.array([1.0, -2.0], dtype="<f4").tobytes()).decode("ascii")
 
 
@@ -46,6 +47,9 @@ def readers(tmp_path_factory):
         "preference_lists": (read_preference_lists,
                              ['{"context":"q","winner":"w","losers":["l"],"deltas":[0.5]}']),
         "task_records": (read_task_records, ["3\tpersonalization\t<T3> a b\t1,2,0"]),
+        "stage3_codes": (lambda p: read_stage3_codes(p, SCHEME),
+                         [f"3\tpersonalization\t{PROMPT} agg:a1\t1,2,0",
+                          "1\ttext_to_sid\t<T1a> red\t1,2,0"]),
         "click_stats": (lambda p: cli._read_click_stats(str(p), SCHEME), ["q1\ti1\t1,2,0\t7"]),
         "reranks": (lambda p: cli._read_reranks(str(p)), ["q1\ta,b\tb,a"]),
         "logprobs": (_cli_reader(tmp, lambda p, out: [
@@ -63,7 +67,7 @@ def readers(tmp_path_factory):
 
 
 READER_NAMES = ["sid_file", "sid_sequence", "catalog", "pairs", "interactions",
-                "preference_lists", "task_records", "click_stats", "reranks", "logprobs",
+                "preference_lists", "task_records", "stage3_codes", "click_stats", "reranks", "logprobs",
                 "tsv_map", "stage2_pairs", "sessions", "cases"]
 
 
@@ -165,6 +169,34 @@ class TestMalformedLines:
         path = tmp_path / "stage3.tsv"
         path.write_text("3\tpersonalization\t<T3> a\n")
         assert "expected 4 fields, got 3" in _raises_at(read_task_records, path, f"{path}:1")
+
+    def test_fit_scorer_malformed_prompt_names_path_and_line(self, tmp_path):
+        path = tmp_path / "stage3.tsv"
+        path.write_text(f"3\tpersonalization\t{PROMPT}\t1,2,0\n\n"
+                        "3\tpersonalization\t<T3> [BOS] 0,1,2,3,0 1,1,1,1,1 [SEP] 0,1,1 [EOS]"
+                        "\t1,2,0\n")
+        read = _cli_reader(tmp_path, lambda p, out: [
+            "fit-scorer", "--records", p, "--levels", "4,4", "--opq", "1x3", "--out", out])
+        assert "expected at least 3 segments, got 2" in _raises_at(read, path, f"{path}:3")
+
+    @pytest.mark.parametrize("line, message", [
+        ("4\tpersonalization\t<T3> a\t1,2,0", "stage must be 1, 2 or 3"),
+        ("1\tno_such_task\t<T1a> red\t1,2,0", "unknown task tag"),
+        (f"3\tpersonalization\t{PROMPT}\t1,2,3", "code 3 at position 2"),
+        (f"3\tpersonalization\t{PROMPT.replace('0,1,1', '0,1')}\t1,2,0", "expected 3 digits"),
+        (f"3\tpersonalization\t{PROMPT.replace('3,0,2', '3,0,x')}\t1,2,0", "invalid literal"),
+    ])
+    def test_stage3_codes_bad_record(self, tmp_path, line, message):
+        path = tmp_path / "stage3.tsv"
+        path.write_text(f"3\tpersonalization\t{PROMPT}\t1,2,0\n{line}\n")
+        assert message in _raises_at(lambda p: read_stage3_codes(p, SCHEME), path, f"{path}:2")
+
+    def test_fit_scorer_without_stage3_records_names_the_path(self, tmp_path):
+        path = tmp_path / "stage1.tsv"
+        path.write_text("1\ttext_to_sid\t<T1a> red\t1,2,0\n")
+        read = _cli_reader(tmp_path, lambda p, out: [
+            "fit-scorer", "--records", p, "--levels", "4,4", "--opq", "1x3", "--out", out])
+        assert "no stage-3 records" in _raises_at(read, path, path)
 
     def test_preference_list_missing_winner(self, tmp_path):
         path = tmp_path / "lists.jsonl"
