@@ -1,11 +1,13 @@
-"""The one reader behind every text input. A bad record raises
-``ValueError("<path>:<line>: ...")``; a bad file ``ValueError("<path>: ...")``."""
+"""The one reader and the one writer behind every text file. A bad record
+raises ``ValueError("<path>:<line>: ...")``; a bad file ``ValueError("<path>: ...")``."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 
 def _error(where: object, exc: Exception) -> ValueError:
@@ -71,3 +73,25 @@ def read_json(path: str | Path, parse: Callable[[dict], Any]) -> Any:
         return parse(_json_object(Path(path).read_text(encoding="utf-8")))
     except (ValueError, KeyError, TypeError) as exc:
         raise _error(path, exc) from None
+
+
+def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = False) -> None:
+    """Each row as one UTF-8 line ending in a newline, to standard output when
+    ``path`` is None: a TSV row tab-joins its string fields, a JSONL row is an
+    object dumped with sorted keys and no spaces. A field holding a tab, CR or
+    LF, or a ``ValueError`` from making a row, raises ``ValueError("<path>:<record>: ...")``."""
+    record = 1
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8")) as f:
+        try:
+            for row in rows:
+                if jsonl:
+                    line = json.dumps(row, sort_keys=True, separators=(",", ":"))
+                else:
+                    line = "\t".join(row)
+                    if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:
+                        raise ValueError(f"a field holds a tab, CR or LF: {row!r}")
+                f.write(line + "\n")
+                record += 1
+        except ValueError as exc:
+            raise _error(f"{'<stdout>' if path is None else path}:{record}", exc) from None

@@ -7,7 +7,7 @@ sorted iteration, and repr-based float rendering make reruns byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import sys
 from pathlib import Path
 
@@ -16,7 +16,7 @@ import numpy as np
 from . import curriculum as curr
 from . import evalharness as ev
 from . import reward as rw
-from ._records import id_list, read_json, read_records
+from ._records import id_list, read_json, read_records, write_records
 from .embedding import (
     Catalog,
     KeywordSet,
@@ -57,14 +57,6 @@ def _scheme_from_args(args) -> SidScheme:
     return SidScheme(_parse_levels(args.levels), (codes,) * subspaces)
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
-
-
 def cmd_enhance(args) -> None:
     catalog = load_catalog(args.catalog)
     kw_catalog = load_catalog(args.keywords)
@@ -81,12 +73,7 @@ def cmd_enhance(args) -> None:
 
 
 def cmd_filter_pairs(args) -> None:
-    kept = cosine_filter(read_pairs(args.pairs), args.threshold)
-    if args.out:
-        write_pairs(kept, args.out)
-    else:
-        for p in kept:
-            sys.stdout.write(f"{p.left_id}\t{p.right_id}\t{p.pair_kind}\t{p.cosine!r}\n")
+    write_pairs(cosine_filter(read_pairs(args.pairs), args.threshold), args.out)
 
 
 def cmd_fit_codebook(args) -> None:
@@ -117,13 +104,15 @@ def cmd_encode(args) -> None:
 def cmd_metrics(args) -> None:
     scheme = _scheme_from_args(args)
     catalog = read_sid_file(args.sids, scheme)
-    lines = []
-    for p in range(1, len(scheme.rq_sizes) + 1):
-        lines.append(f"cur_prefix{p}\t{cur(catalog, p)!r}")
-    lines.append(f"icr_rq\t{icr(catalog, use_opq=False)!r}")
-    if args.with_opq:
-        lines.append(f"icr_full\t{icr(catalog, use_opq=True)!r}")
-    _write_lines(args.out, lines)
+
+    def rows():
+        for p in range(1, len(scheme.rq_sizes) + 1):
+            yield f"cur_prefix{p}", repr(cur(catalog, p))
+        yield "icr_rq", repr(icr(catalog, use_opq=False))
+        if args.with_opq:
+            yield "icr_full", repr(icr(catalog, use_opq=True))
+
+    write_records(args.out, rows())
 
 
 def cmd_drift(args) -> None:
@@ -134,11 +123,10 @@ def cmd_drift(args) -> None:
         raise SystemExit(f"no *.catalog files under {args.batches}")
     batches = [load_catalog(p).matrix for p in batch_paths]
     steps = drift_report(codebook, baseline, batches, use_opq=not args.rq_only)
-    lines = ["batch\tsize\tcumulative\ticr\toccupied_ratio"]
-    for step in steps:
-        lines.append(f"{step.batch_index}\t{step.batch_size}\t{step.cumulative_size}"
-                     f"\t{step.icr!r}\t{step.occupied_ratio!r}")
-    _write_lines(args.out, lines)
+    write_records(args.out, itertools.chain(
+        [("batch", "size", "cumulative", "icr", "occupied_ratio")],
+        ((str(s.batch_index), str(s.batch_size), str(s.cumulative_size), repr(s.icr),
+          repr(s.occupied_ratio)) for s in steps)))
 
 
 def _read_click_stats(path: str, scheme: SidScheme) -> dict[str, list[ClickStat]]:
@@ -174,7 +162,7 @@ def cmd_encode_user(args) -> None:
         raise SystemExit("empty behavior sequence and no --defaults to fall back on")
 
     user = build_user_sid(short, long_click, codebook)
-    _write_lines(args.out, ["user\t" + ",".join(str(d) for d in user.digits)])
+    write_records(args.out, [("user", ",".join(str(d) for d in user.digits))])
 
     if args.aggregate_out:
         order = read_seq(args.long_order, "long_order") or BehaviorSequence((), "long_order")
@@ -204,20 +192,22 @@ def cmd_dpo_eval(args) -> None:
     logps = dict(read_records(args.logprobs, lambda context, candidate, policy, ref: (
         (context, candidate), (float(policy), float(ref))), fields=4))
     cfg = rw.DpoConfig(beta=args.beta, alpha=args.alpha, delta_margin=args.delta)
-    lines = []
-    total = 0.0
-    for pl in lists:
-        try:
-            pw, refw = logps[(pl.context, pl.winner)]
-            losers = [logps[(pl.context, l)] for l in pl.losers]
-        except KeyError as e:
-            raise SystemExit(f"missing log-probability entry for {e.args[0]}")
-        loss = rw.listwise_dpo_loss(pw, refw, [l[0] for l in losers], [l[1] for l in losers],
-                                    pl.delta_weights, cfg)
-        total += loss
-        lines.append(f"{pl.context}\t{loss!r}")
-    lines.append(f"__mean__\t{total / len(lists)!r}" if lists else "__mean__\tnan")
-    _write_lines(args.out, lines)
+
+    def rows():
+        total = 0.0
+        for pl in lists:
+            try:
+                pw, refw = logps[(pl.context, pl.winner)]
+                losers = [logps[(pl.context, l)] for l in pl.losers]
+            except KeyError as e:
+                raise SystemExit(f"missing log-probability entry for {e.args[0]}")
+            loss = rw.listwise_dpo_loss(pw, refw, [l[0] for l in losers],
+                                        [l[1] for l in losers], pl.delta_weights, cfg)
+            total += loss
+            yield pl.context, repr(loss)
+        yield "__mean__", repr(total / len(lists)) if lists else "nan"
+
+    write_records(args.out, rows())
 
 
 def _read_tsv_map(path: str) -> dict[str, str]:
@@ -233,12 +223,16 @@ def _read_tsv_map(path: str) -> dict[str, str]:
 
 
 def _read_sessions(path: str, item_sids: dict, query_sids: dict) -> list[curr.Session]:
-    """Stage-3 sessions; one whose query or items have no SID is left out."""
+    """Stage-3 sessions; one whose queries or items have no SID is left out."""
 
     def session(obj: dict) -> curr.Session | None:
         session_id, query_id, clicked = obj["session_id"], obj["query_id"], obj["clicked_item"]
         short_ids = id_list(obj.get("short_clicks", []))
         long_ids = id_list(obj.get("long_clicks", []))
+        recent_ids = id_list(obj.get("recent_queries", []))
+        ref = obj.get("aggregate_ref")
+        if ref is not None and (not isinstance(ref, str) or ref.split() != [ref]):
+            raise ValueError(f"aggregate_ref must be one token without whitespace, got {ref!r}")
         try:
             return curr.Session(
                 session_id=session_id,
@@ -247,7 +241,8 @@ def _read_sessions(path: str, item_sids: dict, query_sids: dict) -> list[curr.Se
                 clicked_sid=item_sids[clicked],
                 short_clicks=tuple(item_sids[i] for i in short_ids),
                 long_clicks=tuple(item_sids[i] for i in long_ids),
-                aggregate_ref=obj.get("aggregate_ref"),
+                recent_queries=tuple(query_sids[q] for q in recent_ids),
+                aggregate_ref=ref,
             )
         except KeyError:
             return None
@@ -308,11 +303,10 @@ def cmd_generate(args) -> None:
         context = scheme.parse(args.context)
     hits = beam_search(context, scorer, args.beam, trie=trie,
                        scheme=scheme, constrained=not args.unconstrained)
-    lines = []
-    for rank, hit in enumerate(hits, 1):
-        items = ",".join(trie.items_at(hit.sid.digits)) if hit.in_catalog else "-"
-        lines.append(f"{rank}\t{hit.sid.render()}\t{hit.score!r}\t{items or '-'}")
-    _write_lines(args.out, lines)
+    write_records(args.out, (
+        (str(rank), hit.sid.render(), repr(hit.score),
+         ",".join(trie.items_at(hit.sid.digits) if hit.in_catalog else ()) or "-")
+        for rank, hit in enumerate(hits, 1)))
 
 
 def _read_cases(path: str, scheme: SidScheme) -> list[ev.EvalCase]:
@@ -338,11 +332,7 @@ def cmd_evaluate(args) -> None:
     ks = _parse_levels(args.k)
     report = ev.run_eval(codebook, scorer, cases, ks, catalog, beam=args.beam,
                          sid_catalog=sid_catalog)
-    text = report.render()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    write_records(args.out, report.rows())
 
 
 def cmd_synth(args) -> None:
@@ -351,23 +341,20 @@ def cmd_synth(args) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_catalog(bundle.items, out / "items.catalog")
     save_catalog(bundle.queries, out / "queries.catalog")
-    with open(out / "categories.tsv", "w", encoding="utf-8") as f:
-        for item_id in bundle.items.ids:
-            f.write(f"{item_id}\t{bundle.categories[item_id]}\n")
+    write_records(out / "categories.tsv",
+                  ((item_id, bundle.categories[item_id]) for item_id in bundle.items.ids))
     kw_ids, kw_rows = [], []
     for item_id in bundle.items.ids:
         for j, kw in enumerate(bundle.keywords[item_id].keyword_embeddings):
             kw_ids.append(f"{item_id}#{j}")
             kw_rows.append(kw.vector)
     save_catalog(Catalog(kw_ids, np.stack(kw_rows)), out / "keywords.catalog")
-    with open(out / "sessions.jsonl", "w", encoding="utf-8") as f:
-        for sess in bundle.sessions:
-            f.write(json.dumps({
-                "session_id": sess.session_id,
-                "query_id": sess.query_id,
-                "clicked_item": sess.clicked_item,
-                "short_clicks": list(sess.short_clicks),
-            }, sort_keys=True, separators=(",", ":")) + "\n")
+    write_records(out / "sessions.jsonl", ({
+        "session_id": sess.session_id,
+        "query_id": sess.query_id,
+        "clicked_item": sess.clicked_item,
+        "short_clicks": list(sess.short_clicks),
+    } for sess in bundle.sessions), jsonl=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

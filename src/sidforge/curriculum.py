@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._records import read_records
+from ._records import read_records, write_records
 from .identity import BehaviorSequence, UserSid, parse_prompt, prompt_windows, user_parts
 from .quantizer import RqOpqCodebook
 from .sids import Sid, SidScheme
@@ -74,7 +74,7 @@ def build_stage1(
     sid_catalog: Mapping[str, Sid],
     categories: Mapping[str, str],
 ) -> tuple[list[TaskRecord], StageStats]:
-    """Four alignment records per entity; two when its category is missing."""
+    """Four alignment records per entity; two when its category is missing or blank."""
     records: list[TaskRecord] = []
     stats = StageStats()
     for entity_id in texts:
@@ -86,10 +86,10 @@ def build_stage1(
         sid_token = sid.render()
         records.append(_rec(1, "text_to_sid", text_tokens, [sid_token]))
         records.append(_rec(1, "sid_to_text", [sid_token], text_tokens))
-        category = categories.get(entity_id)
-        if category is not None:
-            records.append(_rec(1, "text_to_category", text_tokens, [category]))
-            records.append(_rec(1, "sid_to_category", [sid_token], [category]))
+        category = categories.get(entity_id, "").split()
+        if category:
+            records.append(_rec(1, "text_to_category", text_tokens, category))
+            records.append(_rec(1, "sid_to_category", [sid_token], category))
         stats.emitted += 1
     return records, stats
 
@@ -101,23 +101,19 @@ def build_stage2(
 ) -> tuple[list[TaskRecord], StageStats]:
     """Four mutual-prediction records per clicked (query, item) pair.
 
-    Entity text defaults to the entity id when no text table is given.
+    Entity text, or the entity id when the text table lacks it, is split on whitespace.
     """
     records: list[TaskRecord] = []
     stats = StageStats()
-
-    def text_tokens(entity_id: str) -> list[str]:
-        if texts is not None and entity_id in texts:
-            return texts[entity_id].split()
-        return [entity_id]
-
+    texts = texts or {}
     for query_id, item_id in pairs:
         q_sid = sid_catalog.get(query_id)
         i_sid = sid_catalog.get(item_id)
         if q_sid is None or i_sid is None:
             stats.skipped += 1
             continue
-        q_text, i_text = text_tokens(query_id), text_tokens(item_id)
+        q_text = texts.get(query_id, query_id).split()
+        i_text = texts.get(item_id, item_id).split()
         records.append(_rec(2, "query_to_item", q_text, i_text))
         records.append(_rec(2, "item_to_query", i_text, q_text))
         records.append(_rec(2, "qsid_to_isid", [q_sid.render()], [i_sid.render()]))
@@ -169,7 +165,7 @@ def build_stage3(
     the user id (falling back to the short side when absent), and an
     aggregate-file reference token rides along when the session names one.
     A session with an invalid click SID, or a sequence over its length
-    cap, is skipped.
+    cap, is skipped; a codebook without 5-digit SIDs raises ``ValueError``.
 
     Each distinct SID is validated and rendered once per call, the user
     parts of all sessions come from one :func:`user_parts` call, and each
@@ -221,11 +217,7 @@ def build_stage3(
     parts = user_parts(sequences, table, scheme.sizes).tolist()
     records: list[TaskRecord] = []
     for (sess, effective), short_part, long_part in zip(kept, parts[0::2], parts[1::2]):
-        try:
-            user = UserSid(tuple(short_part), tuple(long_part))
-        except ValueError:
-            stats.skipped += 1
-            continue
+        user = UserSid(tuple(short_part), tuple(long_part))
         pairs = sliding_window([render(sid) for sid in effective], max_window)
         prompts = prompt_windows(user, sess.query_text, render(sess.query_sid),
                                  [render(sid) for sid in sess.recent_queries],
@@ -237,12 +229,19 @@ def build_stage3(
     return records, stats
 
 
+def _token_field(tokens: tuple[str, ...]) -> str:
+    text = " ".join(tokens)
+    if len(text.split()) != len(tokens):
+        raise ValueError(f"a token is empty or holds whitespace: {tokens!r}")
+    return text
+
+
 def write_task_records(records: Iterable[TaskRecord], path: str | Path) -> None:
-    """``stage<TAB>task<TAB>input tokens<TAB>target tokens`` lines."""
-    with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(f"{rec.stage}\t{rec.task_tag}\t"
-                    f"{' '.join(rec.input_tokens)}\t{' '.join(rec.target_tokens)}\n")
+    """``stage<TAB>task<TAB>input tokens<TAB>target tokens`` lines. Tokens are
+    what ``str.split`` yields: one that is empty or holds whitespace would not
+    read back as itself, so it raises ``ValueError``."""
+    write_records(path, ((str(rec.stage), rec.task_tag, _token_field(rec.input_tokens),
+                          _token_field(rec.target_tokens)) for rec in records))
 
 
 def read_task_records(path: str | Path) -> list[TaskRecord]:

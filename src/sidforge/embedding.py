@@ -8,13 +8,14 @@ bit-exactly; catalogs are immutable after load.
 from __future__ import annotations
 
 import base64
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._records import read_records
+from ._records import read_records, write_records
 
 # The 18 structured attribute classes recognised by the keyword matcher.
 NER_ATTRIBUTES = (
@@ -166,11 +167,8 @@ def match_keywords(text: str, lexicon: Mapping[str, Sequence[str]]) -> list[tupl
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"dim={catalog.dim}\n")
-        for i, item_id in enumerate(catalog.ids):
-            blob = catalog.matrix[i].astype("<f4").tobytes()
-            f.write(f"{item_id}\t{base64.b64encode(blob).decode('ascii')}\n")
+    blobs = (base64.b64encode(v.astype("<f4").tobytes()).decode("ascii") for v in catalog.matrix)
+    write_records(path, itertools.chain([(f"dim={catalog.dim}",)], zip(catalog.ids, blobs)))
 
 
 def load_catalog(path: str | Path) -> Catalog:
@@ -200,10 +198,9 @@ def load_catalog(path: str | Path) -> Catalog:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def write_pairs(pairs: Iterable[PairRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for p in pairs:
-            f.write(f"{p.left_id}\t{p.right_id}\t{p.pair_kind}\t{p.cosine!r}\n")
+def write_pairs(pairs: Iterable[PairRecord], path: str | Path | None) -> None:
+    """``left<TAB>right<TAB>kind<TAB>cosine`` lines; None writes to standard output."""
+    write_records(path, ((p.left_id, p.right_id, p.pair_kind, repr(p.cosine)) for p in pairs))
 
 
 def read_pairs(path: str | Path) -> list[PairRecord]:

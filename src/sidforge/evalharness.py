@@ -9,7 +9,7 @@ cluster center, so keyword enhancement measurably tightens clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -191,17 +191,18 @@ class EvalReport:
     catalog_icr_full: float
     n_cases: int
 
-    def render(self) -> str:
-        lines = ["k\thitrate\tmrr"]
+    def rows(self) -> Iterator[tuple[str, ...]]:
+        yield "k", "hitrate", "mrr"
         for k in self.ks:
-            lines.append(f"{k}\t{self.hitrate[k]!r}\t{self.mrr[k]!r}")
-        lines.append("")
-        curs = "\t".join(repr(v) for v in self.catalog_cur_per_level)
-        lines.append(f"cur_per_level\t{curs}")
-        lines.append(f"icr_rq\t{self.catalog_icr_rq!r}")
-        lines.append(f"icr_full\t{self.catalog_icr_full!r}")
-        lines.append(f"cases\t{self.n_cases}")
-        return "\n".join(lines) + "\n"
+            yield str(k), repr(self.hitrate[k]), repr(self.mrr[k])
+        yield ("",)
+        yield ("cur_per_level", *map(repr, self.catalog_cur_per_level))
+        yield "icr_rq", repr(self.catalog_icr_rq)
+        yield "icr_full", repr(self.catalog_icr_full)
+        yield "cases", str(self.n_cases)
+
+    def render(self) -> str:
+        return "".join("\t".join(row) + "\n" for row in self.rows())
 
 
 def rank_items(hits, trie: SidTrie) -> list[str]:

@@ -7,7 +7,6 @@ finite and positive even for zero-count records; natural log throughout
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._records import id_list, read_records
+from ._records import id_list, read_records, write_records
 from .sids import Sid
 
 # Base reward weight per behavior level: purchase-in-search,
@@ -283,14 +282,8 @@ def read_interactions(path: str | Path) -> list[InteractionRecord]:
 
 
 def write_preference_lists(lists: Iterable[PreferenceList], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for pl in lists:
-            f.write(json.dumps({
-                "context": pl.context,
-                "winner": pl.winner,
-                "losers": pl.losers,
-                "deltas": pl.delta_weights,
-            }, sort_keys=True, separators=(",", ":")) + "\n")
+    write_records(path, ({"context": pl.context, "winner": pl.winner, "losers": pl.losers,
+                          "deltas": pl.delta_weights} for pl in lists), jsonl=True)
 
 
 def read_preference_lists(path: str | Path) -> list[PreferenceList]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from ._records import read_records
+from ._records import read_records, write_records
 
 # Entries one scheme's parse memo holds at most; texts past it are parsed
 # every time, so memory stays bounded on catalogs of 10^6 distinct SIDs.
@@ -109,9 +109,7 @@ class SidCatalog:
 
 def write_sid_file(path: str | Path, entries: Iterable[tuple[str, Sid]]) -> None:
     """Write ``id<TAB>c1,c2,...`` lines; iteration order is preserved."""
-    with open(path, "w", encoding="utf-8") as f:
-        for item_id, sid in entries:
-            f.write(f"{item_id}\t{sid.render()}\n")
+    write_records(path, ((item_id, sid.render()) for item_id, sid in entries))
 
 
 def read_sid_sequence(path: str | Path, scheme: SidScheme) -> list[tuple[str, Sid]]:

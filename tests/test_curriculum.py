@@ -68,6 +68,8 @@ class TestStage1:
     def test_missing_category_gives_two(self):
         records, _ = build_stage1({"i2": self.TEXTS["i2"]}, self.SIDS, self.CATS)
         assert len(records) == 2
+        records, _ = build_stage1({"i1": self.TEXTS["i1"]}, self.SIDS, {"i1": "  "})  # blank
+        assert len(records) == 2
 
     def test_missing_sid_skipped_with_counter(self):
         records, stats = build_stage1(self.TEXTS, self.SIDS, self.CATS)
@@ -164,6 +166,14 @@ class TestStage3:
         )
         assert records[0].input_tokens[-1] == "agg:agg7"
 
+    def test_codebook_without_five_digit_sids_rejected(self):
+        rng = np.random.default_rng(0)
+        short_cb = fit_codebook(rng.normal(size=(40, 4)), (8, 4), balanced_last=False,
+                                opq_subspaces=1, opq_codes=4, seed=0)
+        session = Session("s0", "red", Sid((1, 2), (3,)), Sid((0, 1), (2,)))
+        with pytest.raises(ValueError, match="10 digits"):
+            build_stage3([session], short_cb)
+
 
 class TestRecordIO:
     def test_round_trip(self, tmp_path):
@@ -174,6 +184,17 @@ class TestRecordIO:
         path = tmp_path / "records.tsv"
         write_task_records(records, path)
         assert read_task_records(path) == records
+
+    def test_stage1_and_stage2_records_read_back_as_written(self, tmp_path):
+        """Categories and id fallbacks split into tokens as entity text does."""
+        sids = {"i1": sid(1, 2, 3, 4, 5), "q 1": sid(7, 7, 7, 7, 7)}
+        stage1, _ = build_stage1({"i1": "red  shirt"}, sids, {"i1": "home garden"})
+        stage2, _ = build_stage2([("q 1", "i1")], sids)
+        assert stage1[-1].target_tokens == ("home", "garden")
+        assert stage2[0].input_tokens == ("<T2a>", "q", "1")
+        path = tmp_path / "records.tsv"
+        write_task_records(stage1 + stage2, path)
+        assert read_task_records(path) == stage1 + stage2
 
     def test_record_counts_scale_with_cardinality(self):
         texts = {f"i{n}": f"item number {n}" for n in range(6)}

@@ -1,6 +1,8 @@
 """Every text input goes through one reader: a malformed line raises
 ``ValueError`` starting with ``path:line``, a malformed file one starting
-with the path, and valid files read as before."""
+with the path, and valid files read as before. Every text output goes
+through one writer: what it writes reads back as written, and a field the
+reader would split raises ``ValueError`` starting with ``path:record``."""
 
 import base64
 import json
@@ -11,12 +13,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sidforge import cli
-from sidforge.curriculum import read_stage3_codes, read_task_records
-from sidforge.embedding import Catalog, load_catalog, read_pairs
+from sidforge._records import write_records
+from sidforge.curriculum import (
+    TASK_TAGS,
+    TaskRecord,
+    read_stage3_codes,
+    read_task_records,
+    write_task_records,
+)
+from sidforge.embedding import (
+    PAIR_KINDS,
+    Catalog,
+    PairRecord,
+    load_catalog,
+    read_pairs,
+    save_catalog,
+    write_pairs,
+)
 from sidforge.generator import CooccurrenceScorer
 from sidforge.quantizer import fit_codebook, load_codebook, save_codebook
-from sidforge.reward import read_interactions, read_preference_lists
-from sidforge.sids import SidScheme, read_sid_file, read_sid_sequence
+from sidforge.reward import (
+    PreferenceList,
+    read_interactions,
+    read_preference_lists,
+    write_preference_lists,
+)
+from sidforge.sids import Sid, SidScheme, read_sid_file, read_sid_sequence, write_sid_file
 
 SCHEME = SidScheme((4, 4), (3,))
 ITEM_SIDS = {"i1": SCHEME.parse("1,2,0"), "i2": SCHEME.parse("3,0,2")}
@@ -105,7 +127,8 @@ class TestEveryReader:
 
 
 JSON_KEYS = ["context", "winner", "losers", "deltas", "session_id", "query_id",
-             "clicked_item", "short_clicks", "long_clicks", "query_text", "truth"]
+             "clicked_item", "short_clicks", "long_clicks", "recent_queries", "aggregate_ref",
+             "query_text", "truth"]
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
     | st.sampled_from(["i1", "q1", "w", "1,2,0", "x", ""]),
@@ -239,6 +262,15 @@ class TestMalformedLines:
             "--levels", "4,4", "--opq", "1x3", "--out", str(tmp_path / "out.tsv")]),
             str(path), f"{path}:1")
 
+    @pytest.mark.parametrize("ref", ["a b", "a\u00a0b", "", 7, ["a"]])
+    def test_session_aggregate_ref_that_is_not_one_token(self, tmp_path, ref):
+        path = tmp_path / "sessions.jsonl"
+        path.write_text(json.dumps({"session_id": "s", "query_id": "q1", "clicked_item": "i1",
+                                    "aggregate_ref": ref}) + "\n")
+        message = _raises_at(lambda p: cli._read_sessions(p, ITEM_SIDS, QUERY_SIDS),
+                             str(path), f"{path}:1")
+        assert "aggregate_ref" in message
+
     @pytest.mark.parametrize("key", ["session_id", "query_id", "clicked_item"])
     def test_session_missing_required_key(self, tmp_path, key):
         obj = {"session_id": "s", "query_id": "q1", "clicked_item": "i1"}
@@ -272,6 +304,8 @@ class TestMalformedLines:
         ("sessions", '{"session_id":"s","query_id":"q1","clicked_item":"i1","short_clicks":"i2"}'),
         ("sessions", '{"session_id":"s","query_id":"q1","clicked_item":"i1","long_clicks":"i2"}'),
         ("sessions", '{"session_id":"s","query_id":"q1","clicked_item":"i1","short_clicks":null}'),
+        ("sessions", '{"session_id":"s","query_id":"q1","clicked_item":"i1",'
+                     '"recent_queries":"q1"}'),
     ])
     def test_id_list_field_that_is_not_a_list_of_strings(self, readers, tmp_path, name, line):
         read, valid = readers[name]
@@ -400,11 +434,127 @@ class TestValidFilesReadAsBefore:
         path = tmp_path / "sessions.jsonl"
         path.write_text("\n".join(json.dumps(obj) for obj in [
             {"session_id": "s1", "query_id": "q1", "clicked_item": "i1",
-             "short_clicks": ["i2", "i1"]},
+             "short_clicks": ["i2", "i1"], "recent_queries": ["q1"], "aggregate_ref": "a1"},
             {"session_id": "s2", "query_id": "q9", "clicked_item": "i1"},
             {"session_id": "s3", "query_id": "q1", "clicked_item": "i9"},
             {"session_id": "s4", "query_id": "q1", "clicked_item": "i1", "short_clicks": ["i9"]},
+            {"session_id": "s5", "query_id": "q1", "clicked_item": "i1",
+             "recent_queries": ["q1", "q9"]},
         ]) + "\n")
         sessions = cli._read_sessions(str(path), ITEM_SIDS, QUERY_SIDS)
         assert [s.session_id for s in sessions] == ["s1"]
         assert sessions[0].short_clicks == (ITEM_SIDS["i2"], ITEM_SIDS["i1"])
+        assert sessions[0].recent_queries == (QUERY_SIDS["q1"],)
+        assert sessions[0].aggregate_ref == "a1"
+
+
+# ids free of tab, CR, LF and space, and tokens free of any whitespace;
+# surrogates are left out because UTF-8 cannot encode them
+text_ids = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\r\n "),
+                   max_size=6)
+tokens = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp")),
+                 min_size=1, max_size=6)
+any_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+sids = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)).map(
+    lambda d: Sid(d[:2], d[2:]))
+preference_lists = st.lists(any_text, min_size=2, max_size=4, unique=True).flatmap(
+    lambda names: st.builds(PreferenceList, any_text, st.just(names[0]), st.just(names[1:]),
+                            st.lists(positive, min_size=len(names) - 1,
+                                     max_size=len(names) - 1)))
+ROUND_TRIP = settings(max_examples=40, deadline=None, database=None)
+
+
+class TestWriterRoundTrip:
+    """Each writer's file reads back, through its reader, as what was written."""
+
+    @ROUND_TRIP
+    @given(entries=st.dictionaries(text_ids, sids, max_size=5))
+    def test_sid_file(self, tmp_path_factory, entries):
+        path = tmp_path_factory.getbasetemp() / "round_trip.sids"
+        write_sid_file(path, entries.items())
+        assert read_sid_file(path, SCHEME).entries == entries
+
+    @ROUND_TRIP
+    @given(rows=st.dictionaries(text_ids, st.lists(st.floats(width=32, allow_nan=False,
+                                                             allow_infinity=False),
+                                                   min_size=3, max_size=3),
+                                min_size=1, max_size=4))
+    def test_catalog(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "round_trip.catalog"
+        catalog = Catalog(list(rows), np.array(list(rows.values())))
+        save_catalog(catalog, path)
+        loaded = load_catalog(path)
+        assert loaded.ids == catalog.ids
+        assert np.array_equal(loaded.matrix, catalog.matrix)
+
+    @ROUND_TRIP
+    @given(pairs=st.lists(st.builds(PairRecord, text_ids, text_ids, st.sampled_from(PAIR_KINDS),
+                                    st.floats(-1.0, 1.0)), max_size=4))
+    def test_pairs(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.getbasetemp() / "round_trip_pairs.tsv"
+        write_pairs(pairs, path)
+        assert read_pairs(path) == pairs
+
+    @ROUND_TRIP
+    @given(records=st.lists(st.builds(
+        TaskRecord, st.sampled_from([1, 2, 3]), st.sampled_from(sorted(TASK_TAGS)),
+        st.lists(tokens, min_size=1, max_size=4).map(tuple),
+        st.lists(tokens, min_size=1, max_size=3).map(tuple)), max_size=4))
+    def test_task_records(self, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "round_trip_records.tsv"
+        write_task_records(records, path)
+        assert read_task_records(path) == records
+
+    @ROUND_TRIP
+    @given(lists=st.lists(preference_lists, max_size=3))
+    def test_preference_lists(self, tmp_path_factory, lists):
+        path = tmp_path_factory.getbasetemp() / "round_trip_lists.jsonl"
+        write_preference_lists(lists, path)
+        assert read_preference_lists(path) == lists
+
+
+def _task_record_with_target(*targets):
+    return lambda path: write_task_records(
+        [TaskRecord(1, "sid_to_text", ("<T1b>", "1,2,0"), ("red",)),
+         TaskRecord(1, "sid_to_text", ("<T1b>", "1,2,0"), targets)], path)
+
+
+class TestWriterRefuses:
+    @pytest.mark.parametrize("write, record", [
+        (lambda p: write_sid_file(p, [("i1", ITEM_SIDS["i1"]), ("a\tb", ITEM_SIDS["i2"])]), 2),
+        (lambda p: save_catalog(Catalog(["a", "b\nc"], np.ones((2, 2))), p), 3),
+        (lambda p: write_pairs([PairRecord("a", "b\r", "q2i", 0.5)], p), 1),
+        (_task_record_with_target("red", "red shoe"), 2),
+        (_task_record_with_target("red", "red\u3000shoe"), 2),
+        (_task_record_with_target("red", ""), 2),
+    ], ids=["tab_in_sid_file_id", "lf_in_catalog_id", "cr_in_pair_id", "space_in_token",
+            "ideographic_space_in_token", "empty_token"])
+    def test_field_the_reader_would_split(self, tmp_path, write, record):
+        _raises_at(write, tmp_path / "out.txt", f"{tmp_path / 'out.txt'}:{record}")
+
+    @pytest.mark.parametrize("bad", ["\t", "\r", "\n"])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_split_character_to_file_or_stdout(self, tmp_path, capsys, bad, to_file):
+        """Rows shaped like dpo-eval's (context, loss), one context holding a
+        tab, CR or LF; rows before it are written, nothing after it."""
+        path = tmp_path / "losses.tsv" if to_file else None
+        rows = [("q1", "0.5"), (f"q{bad}2", "0.25"), ("__mean__", "0.375")]
+        _raises_at(lambda p: write_records(p, rows), path,
+                   f"{path}:2" if to_file else "<stdout>:2")
+        assert capsys.readouterr().out == ("" if to_file else "q1\t0.5\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["filter-pairs", "--pairs", "{tmp}/pairs.tsv", "--threshold", "0.6"],
+        ["metrics", "--sids", "{tmp}/items.sids", "--levels", "4,4", "--opq", "1x3",
+         "--with-opq"],
+    ])
+    def test_stdout_bytes_equal_file_bytes(self, tmp_path, capsys, argv):
+        (tmp_path / "pairs.tsv").write_text("a\tb\tq2i\t0.7\na\tc\tq2i\t0.5\nb\tc\ti2i\t0.61\n")
+        (tmp_path / "items.sids").write_text("i1\t1,2,0\ni2\t3,0,2\n")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert cli.main(argv + ["--out", str(tmp_path / "out.tsv")]) == 0
+        assert capsys.readouterr().out == ""
+        assert stdout and stdout.encode("utf-8") == (tmp_path / "out.tsv").read_bytes()

@@ -11,7 +11,7 @@ import pytest
 
 from sidforge.cli import main
 from sidforge.curriculum import TASK_TAGS, Session, StageStats, TaskRecord, build_stage3, \
-    read_stage3_codes, sliding_window
+    read_stage3_codes, read_task_records, sliding_window
 from sidforge.generator import cooccurrence_fit
 from sidforge.identity import (
     BOS,
@@ -24,6 +24,7 @@ from sidforge.identity import (
     UserSid,
     build_user_sid,
     decay_weights,
+    parse_prompt,
     user_parts,
 )
 from sidforge.quantizer import OpqCodebook, RqCodebook, RqOpqCodebook, save_codebook
@@ -293,3 +294,29 @@ def test_golden_stage3_and_scorer_bytes(tmp_path):
 
     assert (sha("stage3.tsv"), sha("scorer.json")) == (GOLDEN_STAGE3_SHA256,
                                                       GOLDEN_SCORER_SHA256)
+
+
+def test_cli_prompts_carry_the_recent_queries_of_a_session(tmp_path):
+    save_codebook(_codebook(), tmp_path / "cb.bin")
+    rng = np.random.default_rng(3)
+    item_sids = {f"i{n}": _random_sid(rng) for n in range(3)}
+    query_sids = {f"q{n}": _random_sid(rng) for n in range(3)}
+    write_sid_file(tmp_path / "items.sids", item_sids.items())
+    write_sid_file(tmp_path / "queries.sids", query_sids.items())
+    sessions = [
+        {"session_id": "s1", "query_id": "q0", "clicked_item": "i0",
+         "short_clicks": ["i1", "i0"], "recent_queries": ["q2", "q1"]},
+        {"session_id": "s2", "query_id": "q0", "clicked_item": "i0",
+         "recent_queries": ["q9"]},  # no SID: skipped like an unknown click
+    ]
+    (tmp_path / "sessions.jsonl").write_text("".join(json.dumps(s) + "\n" for s in sessions))
+    assert main(["curriculum", "--stage", "3", "--sessions", str(tmp_path / "sessions.jsonl"),
+                 "--sids", str(tmp_path / "items.sids"),
+                 "--query-sids", str(tmp_path / "queries.sids"),
+                 "--codebook", str(tmp_path / "cb.bin"),
+                 "--out", str(tmp_path / "stage3.tsv")]) == 0
+    records = read_task_records(tmp_path / "stage3.tsv")
+    assert len(records) == 2
+    for rec in records:
+        prompt = parse_prompt(rec.input_tokens[1:], SCHEME)
+        assert prompt.recent_queries == (query_sids["q2"], query_sids["q1"])
