@@ -79,7 +79,8 @@ def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = Fals
     """Each row as one UTF-8 line ending in a newline, to standard output when
     ``path`` is None: a TSV row tab-joins its string fields, a JSONL row is an
     object dumped with sorted keys and no spaces. A field holding a tab, CR or
-    LF, or a ``ValueError`` from making a row, raises ``ValueError("<path>:<record>: ...")``."""
+    LF, or a ``ValueError`` from making a row, raises ``ValueError("<path>:<record>: ...")``
+    after removing the file, so a refused write never looks finished."""
     record = 1
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8")) as f:
@@ -94,4 +95,8 @@ def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = Fals
                 f.write(line + "\n")
                 record += 1
         except ValueError as exc:
-            raise _error(f"{'<stdout>' if path is None else path}:{record}", exc) from None
+            if path is None:
+                raise _error(f"<stdout>:{record}", exc) from None
+            f.close()
+            Path(path).unlink()
+            raise _error(f"{path}:{record}", exc) from None

@@ -34,6 +34,7 @@ from .identity import (
     aggregate_long,
     build_user_sid,
     default_sequence,
+    query_words,
 )
 from .quantizer import encode_batch, fit_codebook, load_codebook, save_codebook
 from .sidmetrics import cur, drift_report, icr
@@ -233,10 +234,12 @@ def _read_sessions(path: str, item_sids: dict, query_sids: dict) -> list[curr.Se
         ref = obj.get("aggregate_ref")
         if ref is not None and (not isinstance(ref, str) or ref.split() != [ref]):
             raise ValueError(f"aggregate_ref must be one token without whitespace, got {ref!r}")
+        query_text = obj.get("query_text", query_id)
+        query_words(query_text)
         try:
             return curr.Session(
                 session_id=session_id,
-                query_text=obj.get("query_text", query_id),
+                query_text=query_text,
                 query_sid=query_sids[query_id],
                 clicked_sid=item_sids[clicked],
                 short_clicks=tuple(item_sids[i] for i in short_ids),

@@ -204,6 +204,17 @@ def assemble_prompt(
                           [[s.render() for s in short_clicks]])[0]
 
 
+def query_words(query_text: object) -> list[str]:
+    """The tokens of a query text, which must be a string free of reserved tokens."""
+    if not isinstance(query_text, str):
+        raise ValueError(f"query text must be a string, got {query_text!r}")
+    words = query_text.split()
+    for w in words:
+        if w in _RESERVED:
+            raise ValueError(f"query text may not contain reserved token {w!r}")
+    return words
+
+
 def prompt_windows(
     user: UserSid,
     query_text: str,
@@ -219,10 +230,7 @@ def prompt_windows(
     the parse unambiguous when only one history segment is present. SIDs
     are single comma-joined tokens. The head up to the window is built once.
     """
-    words = query_text.split()
-    for w in words:
-        if w in _RESERVED:
-            raise ValueError(f"query text may not contain reserved token {w!r}")
+    words = query_words(query_text)
     head = [BOS, ",".join(map(str, user.short_part)), ",".join(map(str, user.long_part)),
             SEP, *words, SEP, query_sid]
     if recent_queries:

@@ -1,13 +1,15 @@
 """Deterministic Lloyd k-means and the size-balanced variant.
 
-Both fits share seeded k-means++ initialization and fixed iteration caps
-so identical (points, k, iters, seed) inputs give bit-identical results.
-Ties in every nearest-centroid decision go to the lowest index.
+Both fits share seeded k-means++ initialization, the one Lloyd loop and
+fixed iteration caps, so identical (points, k, iters, seed) inputs give
+bit-identical results. Ties in every nearest-centroid decision go to the
+lowest index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -147,77 +149,89 @@ def _repair_empty(assign: np.ndarray, assigned_d: np.ndarray, k: int) -> np.ndar
 
 
 def lloyd(
-    points: np.ndarray, centroids: np.ndarray, iters: int, cold: bool = True
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Lloyd iterations from the given centroids.
+    points: np.ndarray,
+    centroids: np.ndarray,
+    iters: int,
+    assign: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The one Lloyd loop: yields each iteration's centroids and labels.
 
-    Returns the final centroids (means of the final assignment), that
-    assignment and the per-iteration SSE. Stops once an assignment repeats
-    the previous one. A cold start re-seeds empty clusters and records the
-    SSE; a warm start keeps an empty cluster's old centroid and records none.
+    ``assign(points, centroids)`` labels the points; the new centroids are
+    the means of those labels (an empty cluster keeps its old centroid).
+    Stops after ``iters`` iterations or once the labels repeat.
     """
-    k = centroids.shape[0]
     points_t = np.ascontiguousarray(points.T)
-    assign = None
-    sse_per_iter: list[float] = []
+    labels = None
     for _ in range(max(1, iters)):
-        new_assign, dist = nearest(points, centroids)
-        if cold:
-            new_assign = _repair_empty(new_assign, dist, k)
-        centroids = _update_means(points_t, new_assign, centroids)
-        if cold:
-            sse_per_iter.append(float(np.sum((points - centroids[new_assign]) ** 2)))
-        converged = assign is not None and bool(np.array_equal(new_assign, assign))
-        assign = new_assign
-        if converged:
-            break
-    return centroids, assign, sse_per_iter
+        new_labels = assign(points, centroids)
+        centroids = _update_means(points_t, new_labels, centroids)
+        yield centroids, new_labels
+        if labels is not None and np.array_equal(new_labels, labels):
+            return
+        labels = new_labels
+
+
+def _sse(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
+    return float(np.sum((points - centroids[labels]) ** 2))
+
+
+def _seeded(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated points and their seeded k-means++ centroids."""
+    points = _as_points(points)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return points, kmeanspp_seed(points, k, np.random.default_rng(seed))
 
 
 def kmeans_fit(points: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> KmeansResult:
     """Lloyd iterations from deterministic k-means++ seeding.
 
-    The returned centroids are the means of the final assignment, so the
-    total within-cluster squared error never exceeds the input energy and
-    is non-increasing across iterations.
+    Each assignment re-seeds empty clusters. The returned centroids are the
+    means of the final assignment, so the total within-cluster squared error
+    never exceeds the input energy and is non-increasing across iterations.
     """
-    points = _as_points(points)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    rng = np.random.default_rng(seed)
-    centroids, assign, sse_per_iter = lloyd(points, kmeanspp_seed(points, k, rng), iters)
-    return KmeansResult(centroids, assign, sse_per_iter[-1], sse_per_iter)
+    points, centroids = _seeded(points, k, seed)
+    sse_per_iter = []
+    for centroids, labels in lloyd(points, centroids, iters,
+                                   lambda p, c: _repair_empty(*nearest(p, c), k)):
+        sse_per_iter.append(_sse(points, centroids, labels))
+    return KmeansResult(centroids, labels, sse_per_iter[-1], sse_per_iter)
 
 
 def _balanced_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Greedy-margin capacity assignment with cluster sizes in {floor, ceil}.
 
     Points are processed by descending margin (second-best distance minus
-    best distance), each taking its nearest centroid that still has room.
-    At most ``n mod k`` clusters may grow to ceil(n/k); the rest stop at
-    floor(n/k), which pins max-min cluster size to <= 1.
+    best distance), each taking its nearest centroid that still has room,
+    ties to the lowest index. At most ``n mod k`` clusters may grow to
+    ceil(n/k); the rest stop at floor(n/k), which pins max-min cluster size
+    to <= 1. Only the distance matrix is (n, k); a point whose nearest
+    centroid is full takes one masked argmin over the clusters with room.
     """
     n, k = points.shape[0], centroids.shape[0]
-    dists = _sq_dists(points, centroids)
     if k == 1:
         return np.zeros(n, dtype=np.int64)
-    part = np.partition(dists, 1, axis=1)
-    margin = part[:, 1] - part[:, 0]
+    dists = _sq_dists(points, centroids)
+    rows = np.arange(n)
+    nearest_c = dists.argmin(axis=1)
+    best = dists[rows, nearest_c]
+    dists[rows, nearest_c] = np.inf
+    margin = dists.min(axis=1) - best
+    dists[rows, nearest_c] = best
     order = np.argsort(-margin, kind="stable")
-    prefs = np.argsort(dists, axis=1, kind="stable")
 
-    floor, extra = divmod(n, k)
+    floor, extra = divmod(n, k)  # extra: ceil-sized clusters still allowed
     counts = np.zeros(k, dtype=np.int64)
-    ceil_used = 0
-    assign = np.full(n, -1, dtype=np.int64)
+    assign = np.empty(n, dtype=np.int64)
     for p in order:
-        for c in prefs[p]:
-            if counts[c] < floor or (counts[c] == floor and ceil_used < extra):
-                if counts[c] == floor:
-                    ceil_used += 1
-                counts[c] += 1
-                assign[p] = c
-                break
+        cap = floor + (extra > 0)  # a cluster below cap has room
+        c = nearest_c[p]
+        if counts[c] >= cap:
+            c = np.where(counts < cap, dists[p], np.inf).argmin()
+        counts[c] += 1
+        assign[p] = c
+        if counts[c] > floor:
+            extra -= 1
     return assign
 
 
@@ -300,33 +314,21 @@ def balanced_kmeans_fit(points: np.ndarray, k: int, iters: int = 25, seed: int =
     """Balanced Lloyd loop; keeps the lowest-SSE iterate since balanced
     assignment does not guarantee monotone SSE, then polishes small fits
     with cross-cluster swaps."""
-    points = _as_points(points)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if k == 2:
-        exact = _exact_balanced_two(points)
+        exact = _exact_balanced_two(_as_points(points))
         if exact is not None:
             return exact
-    rng = np.random.default_rng(seed)
-    centroids = kmeanspp_seed(points, k, rng)
-    points_t = np.ascontiguousarray(points.T)
+    points, centroids = _seeded(points, k, seed)
     best: KmeansResult | None = None
-    prev_assign = None
     sse_per_iter: list[float] = []
-    for _ in range(max(1, iters)):
-        assign = _balanced_assign(points, centroids)
-        centroids = _update_means(points_t, assign, centroids)
-        sse = float(np.sum((points - centroids[assign]) ** 2))
-        sse_per_iter.append(sse)
-        if best is None or sse < best.sse:
-            best = KmeansResult(centroids.copy(), assign.copy(), sse)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break
-        prev_assign = assign
+    for centroids, labels in lloyd(points, centroids, iters, _balanced_assign):
+        sse_per_iter.append(_sse(points, centroids, labels))
+        if best is None or sse_per_iter[-1] < best.sse:
+            best = KmeansResult(centroids, labels, sse_per_iter[-1])
     assert best is not None
     if points.shape[0] <= _SWAP_REFINE_MAX_POINTS and k > 1:
         assign, centroids = _swap_refine(points, best.assignments, best.centroids, max_passes=iters)
-        sse = float(np.sum((points - centroids[assign]) ** 2))
+        sse = _sse(points, centroids, assign)
         if sse <= best.sse:
             best = KmeansResult(centroids, assign, sse)
         sse_per_iter.append(best.sse)

@@ -204,41 +204,28 @@ def opq_fit(
     dsub = d // subspaces
 
     rotation = np.eye(d)
-    tables: list[np.ndarray] | None = None
+    tables: list[np.ndarray] = []
     errors: list[float] = []
-
-    def fit_tables(rotated: np.ndarray, warm: list[np.ndarray] | None) -> list[np.ndarray]:
-        out = []
-        for s in range(subspaces):
-            block = rotated[:, s * dsub:(s + 1) * dsub]
-            if warm is None:
-                res = kmeans_fit(block, codes_per_subspace, iters=kmeans_iters, seed=seed + s)
-                out.append(res.centroids)
-            else:
-                out.append(lloyd(block, warm[s], kmeans_iters, cold=False)[0])
-        return out
-
-    def reconstruct(rotated: np.ndarray, tbls: list[np.ndarray]) -> np.ndarray:
-        parts = []
-        for s, table in enumerate(tbls):
-            block = rotated[:, s * dsub:(s + 1) * dsub]
-            parts.append(table[nearest(block, table)[0]])
-        return np.concatenate(parts, axis=1)
-
-    for _ in range(outer_iters):
+    for r in range(outer_iters + 1):
         rotated = X @ rotation
-        tables = fit_tables(rotated, tables)
-        Y = reconstruct(rotated, tables)
+        blocks = [rotated[:, s * dsub:(s + 1) * dsub] for s in range(subspaces)]
+        if r == 0:
+            tables = [kmeans_fit(b, codes_per_subspace, iters=kmeans_iters, seed=seed + s).centroids
+                      for s, b in enumerate(blocks)]
+        else:  # warm Lloyd from the last round's tables; an empty code keeps its centroid
+            for s, b in enumerate(blocks):
+                for tables[s], _ in lloyd(b, tables[s], kmeans_iters,
+                                          lambda p, c: nearest(p, c)[0]):
+                    pass
+        Y = np.concatenate([t[nearest(b, t)[0]] for b, t in zip(blocks, tables)], axis=1)
         errors.append(float(np.mean(np.sum((rotated - Y) ** 2, axis=1))))
+        if r == outer_iters:
+            break  # the last pass fits the codes only
         # orthogonal Procrustes: rotation minimizing ||X R - Y||_F
         M = X.T @ Y
         if float(np.abs(M).max()) > 0.0:
             U, _, Vt = np.linalg.svd(M)
             rotation = U @ Vt
-    rotated = X @ rotation
-    tables = fit_tables(rotated, tables)
-    Y = reconstruct(rotated, tables)
-    errors.append(float(np.mean(np.sum((rotated - Y) ** 2, axis=1))))
 
     stats = {
         "subspaces": subspaces,

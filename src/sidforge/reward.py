@@ -213,6 +213,23 @@ def build_preference_lists(
     stats = BuildStats()
     lists: list[PreferenceList] = []
 
+    def add_list(context: str, winner: str, r_w: float,
+                 scored_losers: Iterable[tuple[str, float]]) -> None:
+        """Append one winner's list: bad pairs are dropped and counted, and a
+        list left without losers is skipped and counted."""
+        losers, deltas = [], []
+        for item, r_l in scored_losers:
+            if r_w < r_l:
+                stats.skipped_bad_pair += 1
+                continue
+            losers.append(item)
+            deltas.append(preference_delta(r_w, r_l, epsilon))
+        if not losers:
+            stats.skipped_no_loser += 1
+            return
+        lists.append(PreferenceList(context, render(winner), [render(i) for i in losers], deltas))
+        stats.lists_built += 1
+
     for rr in reranks:
         pos_before = {item: i for i, item in enumerate(rr.before)}
         pos_after = {item: i for i, item in enumerate(rr.after)}
@@ -228,23 +245,8 @@ def build_preference_lists(
             stats.skipped_no_loser += 1
             continue
         winner = min(pool, key=lambda i: (-score(rr.query_id, i), pos_after[i], i))
-        r_w = score(rr.query_id, winner)
-        losers, deltas = [], []
-        for item in demoted:
-            if item == winner:
-                continue
-            r_l = score(rr.query_id, item)
-            if r_w < r_l:
-                stats.skipped_bad_pair += 1
-                continue
-            losers.append(item)
-            deltas.append(preference_delta(r_w, r_l, epsilon))
-        if not losers:
-            stats.skipped_no_loser += 1
-            continue
-        lists.append(PreferenceList(rr.query_id, render(winner),
-                                    [render(i) for i in losers], deltas))
-        stats.lists_built += 1
+        add_list(rr.query_id, winner, score(rr.query_id, winner),
+                 ((i, score(rr.query_id, i)) for i in demoted if i != winner))
 
     for query_id in sorted(by_query):
         recs = by_query[query_id]
@@ -256,21 +258,9 @@ def build_preference_lists(
             continue
         winner_rec = min(positives,
                          key=lambda r: (-reward_score(r, base_weights), r.level, r.item_id))
-        r_w = reward_score(winner_rec, base_weights)
-        losers, deltas = [], []
-        for rec in sorted(negatives, key=lambda r: (r.level, r.item_id)):
-            r_l = reward_score(rec, base_weights)
-            if r_w < r_l:
-                stats.skipped_bad_pair += 1
-                continue
-            losers.append(rec.item_id)
-            deltas.append(preference_delta(r_w, r_l, epsilon))
-        if not losers:
-            stats.skipped_no_loser += 1
-            continue
-        lists.append(PreferenceList(query_id, render(winner_rec.item_id),
-                                    [render(i) for i in losers], deltas))
-        stats.lists_built += 1
+        add_list(query_id, winner_rec.item_id, reward_score(winner_rec, base_weights),
+                 ((r.item_id, reward_score(r, base_weights))
+                  for r in sorted(negatives, key=lambda r: (r.level, r.item_id))))
 
     return lists, stats
 

@@ -267,6 +267,24 @@ class TestCurriculumCommands:
         ]) == 0
         assert eval_out.read_text().startswith("k\thitrate\tmrr")
 
+    @pytest.mark.parametrize("text, detail", [
+        (5, "query text must be a string"),
+        ("red [SEP] shoe", "reserved token '[SEP]'"),
+    ], ids=["not_a_string", "reserved_token"])
+    def test_stage3_bad_query_text_names_path_and_line(self, workspace, tmp_path, text, detail):
+        lines = (workspace / "data" / "sessions.jsonl").read_text().splitlines()
+        bad = dict(json.loads(lines[0]), query_text=text)
+        sessions = tmp_path / "sessions.jsonl"
+        sessions.write_text("\n".join([*lines, json.dumps(bad)]) + "\n")
+        out = tmp_path / "stage3.tsv"
+        with pytest.raises(ValueError) as info:
+            main(["curriculum", "--stage", "3", "--sessions", str(sessions),
+                  "--sids", str(workspace / "items.sids"),
+                  "--query-sids", str(workspace / "queries.sids"),
+                  "--codebook", str(workspace / "cb.bin"), "--out", str(out)])
+        assert str(info.value).startswith(f"{sessions}:{len(lines) + 1}: "), str(info.value)
+        assert detail in str(info.value)
+
     def test_generate_with_prompt_file_context(self, workspace):
         from sidforge.identity import UserSid, assemble_prompt
 

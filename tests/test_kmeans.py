@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -5,7 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sidforge import kmeans
-from sidforge.kmeans import _update_means, balanced_kmeans_fit, kmeans_fit, lloyd, nearest
+from sidforge.kmeans import (
+    _balanced_assign,
+    _repair_empty,
+    _sq_dists,
+    _update_means,
+    balanced_kmeans_fit,
+    kmeans_fit,
+    lloyd,
+    nearest,
+)
+from sidforge.quantizer import fit_codebook
 
 
 def sse_of_partition(points, groups):
@@ -38,6 +49,32 @@ def best_balanced_two_partition_sse(points):
         right = tuple(i for i in range(n) if i not in left)
         best = min(best, sse_of_partition(points, [left, right]))
     return best
+
+
+def preference_walk_assign(points, centroids):
+    """Reference balanced assignment: every point ranks every centroid with a
+    stable argsort, then takes its first choice that still has room."""
+    n, k = points.shape[0], centroids.shape[0]
+    dists = _sq_dists(points, centroids)
+    if k == 1:
+        return np.zeros(n, dtype=np.int64)
+    part = np.partition(dists, 1, axis=1)
+    margin = part[:, 1] - part[:, 0]
+    order = np.argsort(-margin, kind="stable")
+    prefs = np.argsort(dists, axis=1, kind="stable")
+    floor, extra = divmod(n, k)
+    counts = np.zeros(k, dtype=np.int64)
+    ceil_used = 0
+    assign = np.full(n, -1, dtype=np.int64)
+    for p in order:
+        for c in prefs[p]:
+            if counts[c] < floor or (counts[c] == floor and ceil_used < extra):
+                if counts[c] == floor:
+                    ceil_used += 1
+                counts[c] += 1
+                assign[p] = c
+                break
+    return assign
 
 
 def one_shot_nearest(points, table):
@@ -126,12 +163,74 @@ class TestLloyd:
     def test_warm_start_keeps_empty_centroid_and_cold_repairs_it(self):
         points = np.array([[0.0], [0.1], [10.0], [10.1]])
         start = np.array([[0.0], [10.0], [1e6]])
-        warm, assign, _ = lloyd(points, start, iters=5, cold=False)
+        *_, (warm, assign) = lloyd(points, start, 5, lambda p, c: nearest(p, c)[0])
         assert warm[2, 0] == 1e6
         assert np.bincount(assign, minlength=3)[2] == 0
-        cold, assign, _ = lloyd(points, start, iters=5, cold=True)
+        *_, (cold, assign) = lloyd(points, start, 5, lambda p, c: _repair_empty(*nearest(p, c), 3))
         assert np.all(np.bincount(assign, minlength=3) > 0)
         assert cold[2, 0] < 1e6
+
+
+def _balanced_cases():
+    rng = np.random.default_rng(12)
+    for n, k, d in [(1, 3, 2), (5, 9, 3), (40, 8, 4), (41, 8, 4), (97, 2, 3), (300, 16, 5),
+                    (64, 64, 2), (500, 7, 8), (2, 2, 1)]:
+        yield f"random-{n}x{k}", rng.normal(size=(n, d)), rng.normal(size=(k, d))
+    base = rng.normal(size=(6, 3))
+    yield "duplicate-points", base[rng.integers(6, size=90)], rng.normal(size=(8, 3))
+    table = rng.normal(size=(4, 3))
+    yield "duplicate-centroids", rng.normal(size=(70, 3)), table[[0, 1, 0, 2, 3, 1, 3, 2, 0]]
+    yield "points-on-centroids", table[rng.integers(4, size=33)], table[[0, 1, 2, 3, 0, 1]]
+    centers = rng.normal(scale=10.0, size=(5, 4))
+    clustered = centers[rng.integers(5, size=400)] + rng.normal(scale=0.3, size=(400, 4))
+    yield "clustered", clustered, clustered[rng.choice(400, size=12, replace=False)]
+    yield "clustered-k2", clustered, centers[:2]
+
+
+class TestBalancedAssign:
+    @pytest.mark.parametrize("case", list(_balanced_cases()), ids=lambda c: c[0])
+    def test_equals_preference_walk(self, case):
+        _, points, centroids = case
+        expected = preference_walk_assign(points, centroids)
+        assert _balanced_assign(points, centroids).tolist() == expected.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        k=st.integers(min_value=1, max_value=12),
+        distinct=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_equals_preference_walk_on_tied_grids(self, n, k, distinct, seed):
+        # integer grids make many exact distance ties between centroids
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-2, 3, size=(n, 2)).astype(float)
+        grid = rng.integers(-2, 3, size=(distinct, 2)).astype(float)
+        centroids = grid[rng.integers(distinct, size=k)]
+        expected = preference_walk_assign(points, centroids)
+        assert _balanced_assign(points, centroids).tolist() == expected.tolist()
+
+
+# sha256 of the small balanced fit below, recorded from the preference-walk
+# assignment; it hashes float64 bytes, so a BLAS that rounds products
+# differently changes it
+GOLDEN_BALANCED_FIT = "573d19628f4920f1f5a9accd89dde65f4a5b05ef2c7dde0cc3d4a4748b9afbac"
+
+
+class TestBalancedFitGolden:
+    def test_small_balanced_fit_codebook_bytes(self):
+        """Tables, rotation and fit SIDs of one small balanced fit, pinned so a
+        refactor of the Lloyd loop or the balanced assignment shows any drift."""
+        rng = np.random.default_rng(21)
+        centers = rng.normal(scale=4.0, size=(12, 6))
+        points = centers[rng.integers(12, size=360)] + rng.normal(size=(360, 6))
+        cb = fit_codebook(points, (8, 6, 5), balanced_last=True, opq_subspaces=2, opq_codes=4,
+                          iters=12, opq_outer_iters=3, seed=5)
+        h = hashlib.sha256()
+        for table in [*cb.rq.levels, cb.opq.rotation, *cb.opq.subspaces]:
+            h.update(np.ascontiguousarray(table, dtype="<f8").tobytes())
+        h.update("\n".join(s.render() for s in cb.fit_sids).encode())
+        assert h.hexdigest() == GOLDEN_BALANCED_FIT
 
 
 class TestKmeansFit:

@@ -537,12 +537,15 @@ class TestWriterRefuses:
     @pytest.mark.parametrize("to_file", [True, False])
     def test_split_character_to_file_or_stdout(self, tmp_path, capsys, bad, to_file):
         """Rows shaped like dpo-eval's (context, loss), one context holding a
-        tab, CR or LF; rows before it are written, nothing after it."""
+        tab, CR or LF: standard output keeps the rows before it, a file is
+        removed."""
         path = tmp_path / "losses.tsv" if to_file else None
         rows = [("q1", "0.5"), (f"q{bad}2", "0.25"), ("__mean__", "0.375")]
         _raises_at(lambda p: write_records(p, rows), path,
                    f"{path}:2" if to_file else "<stdout>:2")
         assert capsys.readouterr().out == ("" if to_file else "q1\t0.5\n")
+        if to_file:
+            assert not path.exists()
 
     @pytest.mark.parametrize("argv", [
         ["filter-pairs", "--pairs", "{tmp}/pairs.tsv", "--threshold", "0.6"],

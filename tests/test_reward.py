@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from sidforge.reward import (
     BASE_WEIGHTS,
+    BuildStats,
     DpoConfig,
     InteractionRecord,
     PreferenceList,
@@ -275,6 +276,54 @@ class TestBuildPreferenceLists:
         lists, _ = build_preference_lists(recs, sids=sids)
         assert lists[0].winner == "1,2,3,4,5"
         assert lists[0].losers == ["9,8,7,6,5"]
+
+    def test_bad_pairs_and_loserless_lists_in_both_phases(self):
+        """Pins lists and all three counters on inputs where each phase drops
+        a bad pair, keeps a list with its remaining losers and skips a list
+        whose every loser was a bad pair."""
+        recs = [
+            # rerank queries: y and u outrank the promoted winner (bad pairs)
+            InteractionRecord("qa", "y", 1, 0, 0, 0),
+            InteractionRecord("qb", "u", 2, 0, 0, 0),
+            InteractionRecord("qd", "c", 3, 50, 40, 0),
+            # interaction-only queries
+            InteractionRecord("q1", "bought", 1, 100, 60, 30),
+            InteractionRecord("q1", "unseen", 5, 0, 0, 0),
+            InteractionRecord("q1", "exposed", 4, 20, 0, 0),
+            InteractionRecord("q2", "clicky", 3, 0, 10**9, 0),
+            InteractionRecord("q2", "shown", 4, 0, 0, 0),
+            InteractionRecord("q2", "other", 6, 0, 0, 0),
+            InteractionRecord("q3", "clicky", 3, 0, 10**9, 0),
+            InteractionRecord("q3", "shown", 4, 0, 0, 0),
+            InteractionRecord("q4", "shown", 4, 0, 0, 0),
+        ]
+        by_id = {(r.query_id, r.item_id): r for r in recs}
+        assert reward_score(by_id["q2", "clicky"]) < reward_score(by_id["q2", "shown"])
+        reranks = [
+            RerankRecord("qa", ("y", "z", "w"), ("w", "y", "z")),   # y bad, z kept
+            RerankRecord("qb", ("u", "v"), ("v", "u")),             # u bad: no loser left
+            RerankRecord("qc", ("a", "b"), ("a", "b")),             # nothing moved
+            RerankRecord("qd", ("a", "b", "c"), ("b", "c", "a")),   # clicked c wins
+        ]
+        lists, stats = build_preference_lists(recs, reranks)
+
+        def r(query, item):
+            rec = by_id.get((query, item), InteractionRecord(query, item, 4))
+            return reward_score(rec)
+
+        def pl(query, winner, losers):
+            return PreferenceList(query, winner, losers, [
+                preference_delta(r(query, winner), r(query, i)) for i in losers])
+
+        assert lists == [
+            pl("qa", "w", ["z"]),
+            pl("qd", "c", ["a"]),
+            pl("q1", "bought", ["exposed", "unseen"]),
+            pl("q2", "clicky", ["other"]),
+        ]
+        # bad pairs: qa/y, qb/u, q2/shown, q3/shown; no loser: qb, qc, q3, and
+        # the interaction-only pass over qa, qb, qd (positives only) and q4
+        assert stats == BuildStats(lists_built=4, skipped_no_loser=7, skipped_bad_pair=4)
 
     def test_round_trip_file(self, tmp_path):
         lists = [PreferenceList("ctx", "w", ["l1", "l2"], [0.5, 2.0])]
