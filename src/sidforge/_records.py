@@ -79,8 +79,10 @@ def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = Fals
     """Each row as one UTF-8 line ending in a newline, to standard output when
     ``path`` is None: a TSV row tab-joins its string fields, a JSONL row is an
     object dumped with sorted keys and no spaces. A field holding a tab, CR or
-    LF, or a ``ValueError`` from making a row, raises ``ValueError("<path>:<record>: ...")``
-    after removing the file, so a refused write never looks finished."""
+    LF, or a ``ValueError``, ``TypeError`` or ``KeyError`` from making or
+    writing a row, raises ``ValueError("<path>:<record>: ...")``; any other
+    exception, ``KeyboardInterrupt`` included, propagates unchanged. Either
+    way the file is removed first, so a failed write never looks finished."""
     record = 1
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", encoding="utf-8")) as f:
@@ -94,9 +96,10 @@ def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = Fals
                         raise ValueError(f"a field holds a tab, CR or LF: {row!r}")
                 f.write(line + "\n")
                 record += 1
-        except ValueError as exc:
-            if path is None:
-                raise _error(f"<stdout>:{record}", exc) from None
-            f.close()
-            Path(path).unlink()
-            raise _error(f"{path}:{record}", exc) from None
+        except BaseException as exc:
+            if path is not None:
+                f.close()
+                Path(path).unlink()
+            if isinstance(exc, (ValueError, TypeError, KeyError)):
+                raise _error(f"{'<stdout>' if path is None else path}:{record}", exc) from None
+            raise

@@ -31,7 +31,19 @@ def _as_points(points: np.ndarray) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("point set must be a nonempty (n, d) array")
+    require_finite(pts, "point")
     return pts
+
+
+def require_finite(rows: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first row of a 2-D array holding NaN or inf.
+
+    The common case costs one min and one max, with no (n, d) temporary.
+    """
+    if np.isfinite(rows.min(initial=0.0)) and np.isfinite(rows.max(initial=0.0)):
+        return
+    bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
+    raise ValueError(f"{what} row {bad} holds a non-finite value")
 
 
 # Distance blocks hold at most this many float64 entries (2 MB), so a
@@ -60,35 +72,182 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0, out=d)
 
 
+def _chunk_edges(n: int, width: int) -> list[int]:
+    """Edges of near-equal row chunks of at most ``_CHUNK_ENTRIES // width``
+    rows (at least one): chunk ``c`` is rows ``edges[c]:edges[c + 1]``.
+
+    Equal chunks leave no small remainder: BLAS may take another code path
+    for a product of a few rows and round it differently, while large chunks
+    round exactly as one product over all rows.
+    """
+    chunks = -(-n // max(1, _CHUNK_ENTRIES // width))
+    return [c * n // chunks for c in range(chunks + 1)] if chunks else [0]
+
+
+def _block_nearest(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest column per row of a distance block and its distance clamped at 0.
+
+    Ties go to the lowest index: the argmin of the clamped distances is the
+    first column at or below 0 when a row has a negative rounded distance,
+    else the plain argmin.
+    """
+    j = d.argmin(axis=1)
+    m = d[np.arange(d.shape[0]), j]
+    neg = m < 0.0
+    if neg.any():
+        j[neg] = np.argmax(d[neg] <= 0.0, axis=1)
+        m[neg] = 0.0
+    return j, m
+
+
 def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest table row per point and its squared distance (clamped at 0).
 
-    Rows go through in near-equal chunks of at most ``_CHUNK_ENTRIES``
-    distances. Equal chunks leave no small remainder: BLAS may take another
-    code path for a product of a few rows and round it differently, while
-    large chunks round exactly as one product over all rows. Ties go to the
-    lowest index: the argmin of the clamped distances is the first column at
-    or below 0 when a row has a negative rounded distance, else the plain
-    argmin.
+    Rows go through in the chunks of ``_chunk_edges``, so no more than
+    ``_CHUNK_ENTRIES`` distances exist at once; ties go to the lowest index.
     """
-    n, k = points.shape[0], table.shape[0]
+    n = points.shape[0]
     neg2_table_t = (-2.0 * table).T
     table_sq = np.sum(table**2, axis=1)
-    chunks = -(-n // max(1, _CHUNK_ENTRIES // k))
+    edges = _chunk_edges(n, table.shape[0])
     idx = np.empty(n, dtype=np.int64)
     dist = np.empty(n)
-    for c in range(chunks):
-        lo, hi = c * n // chunks, (c + 1) * n // chunks
-        d = _dist_block(points[lo:hi], neg2_table_t, table_sq)
-        j = d.argmin(axis=1)
-        m = d[np.arange(hi - lo), j]
-        neg = m < 0.0
-        if neg.any():
-            j[neg] = np.argmax(d[neg] <= 0.0, axis=1)
-            m[neg] = 0.0
-        idx[lo:hi] = j
-        dist[lo:hi] = m
+    for lo, hi in zip(edges, edges[1:]):
+        idx[lo:hi], dist[lo:hi] = _block_nearest(_dist_block(points[lo:hi], neg2_table_t, table_sq))
     return idx, dist
+
+
+def _dist_columns(points: np.ndarray, neg2_table: np.ndarray, table_sq: np.ndarray) -> np.ndarray:
+    """The distances of ``_dist_block`` transposed: shape (k, rows), one
+    column per point.
+
+    Another product, so it may round differently from ``nearest``; only for
+    decisions that allow for the rounding. A varying number of points goes
+    in as the columns: as the rows of the product, multithreaded OpenBLAS
+    touched more of its packing buffers for every new row count (6.4 MB
+    over 300 random counts, 1.0 MB for one fixed count, 0.1 MB as columns).
+    """
+    d = neg2_table @ points.T
+    d += np.sum(points**2, axis=1)
+    d += table_sq[:, None]
+    return d
+
+
+def _row_norms(points: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, without an (n, d) temporary."""
+    return np.sqrt(np.einsum("ij,ij->i", points, points))
+
+
+class BoundedNearest:
+    """The Lloyd assignment step: ``nearest(points, centroids)[0]`` bit for
+    bit, computing distances only for points whose label may change.
+
+    Between calls on one point set it keeps Hamerly (2010) bounds per point,
+    O(n) floats: an upper bound ``u`` on the distance to its centroid and a
+    lower bound ``l`` on the distance to every other one. A call moves them
+    by each centroid's shift, skips a point when ``l - u > sqrt(2E)``,
+    otherwise tightens ``u`` to the distance to its own centroid, and
+    computes all k distances only for the points still in doubt.
+
+    ``E = 4 (d + 3) eps (max ||p|| + max ||t||)^2`` bounds the kernel's
+    rounding: ``||p||^2``, ``2 p.t`` and ``||t||^2`` are sums of d products,
+    so for any summation order (Higham's gamma bound, plus two additions) a
+    computed distance is within ``(d + 2) eps / 2 (||p|| + ||t||)^2`` of the
+    true one, several times less than E. A skipped point's true distances
+    differ by more than 2E, which no rounding within E reorders. A computed
+    row is taken only when its second-smallest distance exceeds the smallest
+    by more than 2E; any other is a near-tie, relabelled from the block that
+    ``nearest`` itself computes it in. The rounding of the bounds themselves
+    is orders of magnitude below the margin.
+
+    The bounds hold while the same ``points`` object comes back; another one
+    (or ``restart``) starts over with every point. ``full_rows`` counts the
+    points whose k distances were computed, ``tie_rows`` the near-ties.
+    """
+
+    def __init__(self) -> None:
+        self.full_rows = 0
+        self.tie_rows = 0
+        self.restart()
+
+    def restart(self) -> None:
+        """Forget the bounds: the next call computes every row."""
+        self._points: np.ndarray | None = None
+
+    def __call__(self, points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+        n, d = points.shape
+        table_sq = np.sum(centroids**2, axis=1)
+        fresh = self._points is not points or self._centroids.shape != centroids.shape
+        if fresh:
+            self._points = points
+            self._point_norm = float(_row_norms(points).max(initial=0.0))
+            self._labels = np.zeros(n, dtype=np.int64)
+            self._upper = np.empty(n)
+            self._lower = np.empty(n)
+            self._centroids = centroids.copy()
+        else:  # a new label array each call: the caller keeps the last one
+            self._labels = self._labels.copy()
+        err = 4.0 * (d + 3) * np.finfo(np.float64).eps * (
+            self._point_norm + float(np.sqrt(table_sq.max(initial=0.0)))) ** 2
+        doubt = (np.arange(n) if fresh
+                 else self._doubtful(points, centroids, float(np.sqrt(2.0 * err))))
+        self._settle(points, centroids, doubt, table_sq, err)
+        np.copyto(self._centroids, centroids)
+        return self._labels
+
+    def _doubtful(self, points: np.ndarray, centroids: np.ndarray, margin: float) -> np.ndarray:
+        """Sorted indices of the points whose bounds, moved by the centroid
+        shifts, leave their label open. A NaN bound counts as open."""
+        labels, upper, lower = self._labels, self._upper, self._lower
+        shift = _row_norms(centroids - self._centroids)
+        upper += shift[labels]
+        if shift.size > 1:  # the farthest any other centroid moved
+            top = int(shift.argmax())
+            first = shift[top]
+            shift[top] = -np.inf
+            lower -= np.where(labels == top, shift.max(), first)
+        doubt = np.flatnonzero(~(lower - upper > margin))
+        edges = _chunk_edges(doubt.size, points.shape[1])
+        for lo, hi in zip(edges, edges[1:]):
+            ids = doubt[lo:hi]
+            upper[ids] = _row_norms(points[ids] - centroids[labels[ids]])
+        return doubt[~(lower[doubt] - upper[doubt] > margin)]
+
+    def _settle(self, points: np.ndarray, centroids: np.ndarray, doubt: np.ndarray,
+                table_sq: np.ndarray, err: float) -> None:
+        """Labels and fresh bounds for the points in ``doubt`` from all their
+        distances; near-ties take their label from the blocks of ``nearest``."""
+        labels, upper, lower = self._labels, self._upper, self._lower
+        k = centroids.shape[0]
+        neg2_table = -2.0 * centroids
+        ties = []
+        edges = _chunk_edges(doubt.size, k)
+        for lo, hi in zip(edges, edges[1:]):
+            ids = doubt[lo:hi]
+            cols = _dist_columns(points[ids], neg2_table, table_sq)
+            rows = np.arange(hi - lo)
+            j = cols.argmin(axis=0)
+            best = cols[j, rows]
+            cols[j, rows] = np.inf
+            second = cols.min(axis=0)                 # inf when k == 1
+            labels[ids] = j
+            upper[ids] = np.sqrt(np.maximum(best + err, 0.0))
+            lower[ids] = np.sqrt(np.maximum(second - err, 0.0))
+            ties.append(ids[~(second - best > 2.0 * err)])
+        self.full_rows += doubt.size
+        tie = np.concatenate(ties) if ties else doubt
+        if tie.size == 0:
+            return
+        self.tie_rows += tie.size
+        lower[tie] = 0.0                              # a near-tie stays in doubt
+        neg2_table_t = neg2_table.T
+        edges = _chunk_edges(points.shape[0], k)
+        chunk_of = np.searchsorted(edges, tie, side="right") - 1
+        for c in np.unique(chunk_of).tolist():
+            lo, hi = edges[c], edges[c + 1]
+            j, _ = _block_nearest(_dist_block(points[lo:hi], neg2_table_t, table_sq))
+            mine = tie[chunk_of == c]
+            labels[mine] = j[mine - lo]
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,7 +331,10 @@ def lloyd(
 
 
 def _sse(points: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.sum((points - centroids[labels]) ** 2))
+    diff = centroids[labels]
+    np.subtract(points, diff, out=diff)
+    diff *= diff
+    return float(np.sum(diff))
 
 
 def _seeded(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -186,14 +348,24 @@ def _seeded(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarr
 def kmeans_fit(points: np.ndarray, k: int, iters: int = 25, seed: int = 0) -> KmeansResult:
     """Lloyd iterations from deterministic k-means++ seeding.
 
-    Each assignment re-seeds empty clusters. The returned centroids are the
-    means of the final assignment, so the total within-cluster squared error
-    never exceeds the input energy and is non-increasing across iterations.
+    Labels come from ``BoundedNearest``; an assignment that leaves a cluster
+    empty is redone with ``nearest`` and re-seeds that cluster. The returned
+    centroids are the means of the final assignment, so the total
+    within-cluster squared error never exceeds the input energy and is
+    non-increasing across iterations.
     """
     points, centroids = _seeded(points, k, seed)
+    step = BoundedNearest()
+
+    def assign(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+        labels = step(p, c)
+        if np.bincount(labels, minlength=k).all():
+            return labels
+        step.restart()  # the repair moves points the bounds do not know of
+        return _repair_empty(*nearest(p, c), k)
+
     sse_per_iter = []
-    for centroids, labels in lloyd(points, centroids, iters,
-                                   lambda p, c: _repair_empty(*nearest(p, c), k)):
+    for centroids, labels in lloyd(points, centroids, iters, assign):
         sse_per_iter.append(_sse(points, centroids, labels))
     return KmeansResult(centroids, labels, sse_per_iter[-1], sse_per_iter)
 

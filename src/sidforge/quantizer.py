@@ -19,7 +19,7 @@ import numpy as np
 
 from ._records import read_json
 from .embedding import Catalog
-from .kmeans import balanced_kmeans_fit, kmeans_fit, lloyd, nearest
+from .kmeans import BoundedNearest, balanced_kmeans_fit, kmeans_fit, lloyd, nearest, require_finite
 from .sids import Sid, SidScheme
 
 _MAGIC = b"SIDF"
@@ -119,6 +119,7 @@ def _rq_fit_full(
     vectors = catalog.matrix if isinstance(catalog, Catalog) else np.asarray(catalog, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise ValueError("catalog must be a nonempty (n, d) array")
+    require_finite(vectors, "catalog")
     level_sizes = tuple(int(w) for w in level_sizes)
     if not level_sizes:
         raise ValueError("need at least one level")
@@ -180,6 +181,15 @@ def _to_sids(codes: np.ndarray, n_rq: int) -> list[Sid]:
     return [Sid(tuple(row[:n_rq]), tuple(row[n_rq:])) for row in codes.tolist()]
 
 
+def _warm_lloyd(points: np.ndarray, table: np.ndarray, iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd from ``table`` (an empty code keeps its centroid): the final table
+    and each point's code under it, both from one ``BoundedNearest`` step."""
+    step = BoundedNearest()
+    for table, _ in lloyd(points, table, iters, step):
+        pass
+    return table, step(points, table)
+
+
 def opq_fit(
     residuals: np.ndarray,
     subspaces: int = 2,
@@ -203,21 +213,24 @@ def opq_fit(
         raise ValueError(f"d={d} not divisible by {subspaces} subspaces")
     dsub = d // subspaces
 
+    require_finite(X, "residual")
+
     rotation = np.eye(d)
     tables: list[np.ndarray] = []
     errors: list[float] = []
     for r in range(outer_iters + 1):
         rotated = X @ rotation
-        blocks = [rotated[:, s * dsub:(s + 1) * dsub] for s in range(subspaces)]
-        if r == 0:
-            tables = [kmeans_fit(b, codes_per_subspace, iters=kmeans_iters, seed=seed + s).centroids
-                      for s, b in enumerate(blocks)]
-        else:  # warm Lloyd from the last round's tables; an empty code keeps its centroid
-            for s, b in enumerate(blocks):
-                for tables[s], _ in lloyd(b, tables[s], kmeans_iters,
-                                          lambda p, c: nearest(p, c)[0]):
-                    pass
-        Y = np.concatenate([t[nearest(b, t)[0]] for b, t in zip(blocks, tables)], axis=1)
+        codes = []
+        for s in range(subspaces):
+            b = rotated[:, s * dsub:(s + 1) * dsub]
+            if r == 0:
+                tables.append(kmeans_fit(b, codes_per_subspace, iters=kmeans_iters,
+                                         seed=seed + s).centroids)
+                codes.append(nearest(b, tables[s])[0])
+            else:
+                tables[s], labels = _warm_lloyd(b, tables[s], kmeans_iters)
+                codes.append(labels)
+        Y = np.concatenate([t[c] for t, c in zip(tables, codes)], axis=1)
         errors.append(float(np.mean(np.sum((rotated - Y) ** 2, axis=1))))
         if r == outer_iters:
             break  # the last pass fits the codes only
@@ -285,6 +298,7 @@ def encode_batch(vectors: np.ndarray, codebook: RqOpqCodebook) -> list[Sid]:
     vecs = np.asarray(vectors, dtype=np.float64)
     if vecs.ndim != 2 or vecs.shape[1] != codebook.dim:
         raise ValueError(f"expected (n, {codebook.dim}) array, got {vecs.shape}")
+    require_finite(vecs, "embedding")
     codes, _ = descend(codebook.rq.levels, codebook.opq, vecs)
     return _to_sids(codes, len(codebook.rq.levels))
 

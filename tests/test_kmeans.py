@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,16 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from sidforge import kmeans
 from sidforge.kmeans import (
+    BoundedNearest,
     _balanced_assign,
     _repair_empty,
     _sq_dists,
     _update_means,
     balanced_kmeans_fit,
     kmeans_fit,
+    kmeanspp_seed,
     lloyd,
     nearest,
 )
-from sidforge.quantizer import fit_codebook
+from sidforge.quantizer import fit_codebook, opq_fit
 
 
 def sse_of_partition(points, groups):
@@ -171,6 +174,125 @@ class TestLloyd:
         assert cold[2, 0] < 1e6
 
 
+def plain_step(points, centroids):
+    return nearest(points, centroids)[0]
+
+
+def reference_kmeans_fit(points, k, iters, seed):
+    """kmeans_fit's Lloyd loop with every label from ``nearest``."""
+    start = kmeanspp_seed(points, k, np.random.default_rng(seed))
+    steps = list(lloyd(points, start, iters, lambda p, c: _repair_empty(*nearest(p, c), k)))
+    sse = [float(np.sum((points - c[lab]) ** 2)) for c, lab in steps]
+    return steps[-1][0], steps[-1][1], sse
+
+
+def assert_same_lloyd(points, start, iters=25):
+    """Every (centroids, labels) of the bounded step equals the plain step's,
+    and so do the codes of the final centroids; returns the step and how
+    many times it was called."""
+    step = BoundedNearest()
+    bounded = list(lloyd(points, start, iters, step))
+    plain = list(lloyd(points, start, iters, plain_step))
+    assert len(bounded) == len(plain)
+    for (bc, bl), (pc, pl) in zip(bounded, plain):
+        assert np.array_equal(bc, pc)
+        assert np.array_equal(bl, pl)
+    final = plain[-1][0]
+    assert np.array_equal(step(points, final), nearest(points, final)[0])
+    return step, len(plain) + 1
+
+
+def assert_same_fit(points, k, iters=25, seed=0):
+    res = kmeans_fit(points, k, iters=iters, seed=seed)
+    centroids, labels, sse = reference_kmeans_fit(np.asarray(points, dtype=float), k, iters, seed)
+    assert np.array_equal(res.centroids, centroids)
+    assert np.array_equal(res.assignments, labels)
+    assert res.sse_per_iter == sse
+
+
+def _lloyd_cases():
+    rng = np.random.default_rng(40)
+    points = rng.normal(size=(600, 6))
+    yield "random", points, points[rng.choice(600, 24, replace=False)] + 0.1
+    centers = rng.normal(scale=8.0, size=(12, 5))
+    clustered = centers[rng.integers(12, size=900)] + rng.normal(scale=0.5, size=(900, 5))
+    yield "clustered", clustered, clustered[rng.choice(900, 30, replace=False)]
+    # an OPQ subspace: a non-contiguous column slice of rotated residuals
+    q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    rotated = rng.normal(size=(700, 8)) @ q
+    block = rotated[:, 4:8]
+    yield "opq-column-slice", block, np.ascontiguousarray(block[:16]) * 0.9
+    base = rng.normal(size=(7, 3))
+    dup = base[rng.integers(7, size=300)]
+    yield "duplicate-points", dup, rng.normal(size=(10, 3))
+    table = rng.normal(size=(5, 3))
+    yield "duplicate-centroids", rng.normal(size=(250, 3)), table[[0, 1, 2, 0, 3, 4, 1, 2]]
+    yield "k-above-distinct-points", dup, dup[:12]
+    yield "n-below-k", rng.normal(size=(4, 3)), rng.normal(size=(7, 3))
+    yield "k1", rng.normal(size=(50, 2)), np.zeros((1, 2))
+    # far from the origin the expanded distance cancels: every row is a near-tie
+    far = 1e3 + rng.normal(scale=1e-3, size=(300, 4))
+    yield "cancellation", far, far[:8] + 1e-4
+
+
+class TestBoundedNearest:
+    @pytest.mark.parametrize("case", list(_lloyd_cases()), ids=lambda c: c[0])
+    def test_warm_lloyd_equals_plain_nearest(self, case):
+        _, points, start = case
+        assert_same_lloyd(points, start)
+
+    @pytest.mark.parametrize("case", list(_lloyd_cases()), ids=lambda c: c[0])
+    @pytest.mark.parametrize("entries", [37 * 23, 1], ids=["ragged-chunks", "one-row-chunks"])
+    def test_warm_lloyd_equals_plain_nearest_in_small_chunks(self, monkeypatch, case, entries):
+        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", entries)
+        _, points, start = case
+        assert_same_lloyd(points, start)
+
+    @pytest.mark.parametrize("case", list(_lloyd_cases()), ids=lambda c: c[0])
+    def test_cold_fit_equals_plain_nearest(self, case):
+        _, points, start = case
+        assert_same_fit(points, start.shape[0], seed=3)
+
+    def test_cold_fit_with_empty_cluster_repair(self):
+        # six points and five clusters on two sites: every iteration repairs
+        points = np.array([[0.0], [0.0], [0.0], [5.0], [5.0], [5.0]])
+        assert_same_fit(points, 5)
+
+    def test_pruning_skips_most_rows_once_settled(self):
+        rng = np.random.default_rng(41)
+        centers = rng.normal(scale=10.0, size=(20, 4))
+        points = centers[rng.integers(20, size=2000)] + rng.normal(size=(2000, 4))
+        step, calls = assert_same_lloyd(points, points[:20].copy())
+        assert calls > 3
+        assert step.full_rows < 0.5 * 2000 * calls
+
+    def test_new_point_set_restarts_the_bounds(self):
+        rng = np.random.default_rng(42)
+        a, b, table = rng.normal(size=(80, 3)), rng.normal(size=(80, 3)), rng.normal(size=(6, 3))
+        step = BoundedNearest()
+        assert np.array_equal(step(a, table), nearest(a, table)[0])
+        assert np.array_equal(step(b, table), nearest(b, table)[0])
+        assert step.full_rows == 160
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        k=st.integers(min_value=1, max_value=10),
+        distinct=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_tied_grids_fall_back_to_the_exact_block(self, n, k, distinct, seed):
+        # integer grids make exact ties; point 0 sits on two equal centroids,
+        # so its first row is a near-tie and must come from nearest's block
+        rng = np.random.default_rng(seed)
+        points = rng.integers(-2, 3, size=(n, 2)).astype(float)
+        grid = rng.integers(-2, 3, size=(distinct, 2)).astype(float)
+        start = np.concatenate([points[:1], grid[rng.integers(distinct, size=k)], points[:1]])
+        step, _ = assert_same_lloyd(points, start)
+        assert step.tie_rows > 0
+        assert_same_fit(points, k + 2, seed=seed)
+
+
 def _balanced_cases():
     rng = np.random.default_rng(12)
     for n, k, d in [(1, 3, 2), (5, 9, 3), (40, 8, 4), (41, 8, 4), (97, 2, 3), (300, 16, 5),
@@ -233,6 +355,42 @@ class TestBalancedFitGolden:
         assert h.hexdigest() == GOLDEN_BALANCED_FIT
 
 
+# sha256 of a warm-heavy OPQ fit (twelve warm Lloyd runs of 4 to 24
+# iterations) and of an 18-iteration kmeans_fit, recorded with every label
+# from nearest; they hash float64 bytes, so a BLAS that rounds products
+# differently changes them
+GOLDEN_OPQ_FIT = "a8c8ed33acdf6c2cf7f521d529901d1ff0eb05efe3f9aef5b6b94e1d6aebad11"
+GOLDEN_KMEANS_FIT = "e9554b349680877a20dfaa769c8af9902e53805ca4d28a9d30064a142da0f770"
+
+
+def _f8_sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestLloydFitGolden:
+    def test_warm_heavy_opq_fit_bytes(self):
+        rng = np.random.default_rng(31)
+        centers = rng.normal(scale=3.0, size=(40, 8))
+        residuals = centers[rng.integers(40, size=3000)] + rng.normal(size=(3000, 8))
+        opq, stats = opq_fit(residuals, subspaces=2, codes_per_subspace=32, outer_iters=6,
+                             seed=4, kmeans_iters=25)
+        digest = _f8_sha256(opq.rotation, *opq.subspaces,
+                            stats["mean_sq_error_per_outer_iter"])
+        assert digest == GOLDEN_OPQ_FIT
+
+    def test_multi_iteration_kmeans_fit_bytes(self):
+        rng = np.random.default_rng(32)
+        centers = rng.normal(scale=2.0, size=(30, 6))
+        points = centers[rng.integers(30, size=4000)] + rng.normal(size=(4000, 6))
+        res = kmeans_fit(points, 48, iters=25, seed=3)
+        assert len(res.sse_per_iter) == 18
+        digest = _f8_sha256(res.centroids, res.assignments.astype(np.float64), res.sse_per_iter)
+        assert digest == GOLDEN_KMEANS_FIT
+
+
 class TestKmeansFit:
     def test_k1_is_mean(self):
         pts = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -271,6 +429,29 @@ class TestKmeansFit:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
             kmeans_fit(np.zeros((0, 2)), 2)
+
+    def test_peak_memory_bounded_by_chunks(self):
+        points = np.random.default_rng(33).normal(size=(20_000, 32))
+        tracemalloc.start()
+        try:
+            kmeans_fit(points, 256, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the fit before the Lloyd bounds peaked at 15.02 MiB here: three
+        # (n, d) temporaries in the SSE; one full 20000 x 256 distance matrix
+        # alone would be 39 MiB
+        assert peak < 15 * 2**20
+
+    @pytest.mark.parametrize("fit", [kmeans_fit, balanced_kmeans_fit])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected_naming_first_row(self, fit, bad):
+        points = np.random.default_rng(6).normal(size=(30, 3))
+        points[7, 1] = bad
+        points[12, 0] = bad
+        for k in (2, 3):
+            with pytest.raises(ValueError, match="point row 7 holds a non-finite value"):
+                fit(points, k)
 
     def test_k_exceeding_points_keeps_running(self):
         pts = np.array([[0.0], [1.0]])

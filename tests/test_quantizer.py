@@ -200,6 +200,41 @@ class TestEncode:
         assert peak < 64 * 2**20
 
 
+class TestNonFiniteRejected:
+    """NaN and inf are refused with the first bad row named; greedy descent
+    would otherwise map a NaN row to code 0 at every level."""
+
+    @staticmethod
+    def vectors(bad, dim=4):
+        vecs = np.random.default_rng(8).normal(size=(40, dim))
+        vecs[5, 2] = bad
+        vecs[9, 0] = bad
+        return vecs
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_fit_codebook(self, bad):
+        with pytest.raises(ValueError, match="catalog row 5 holds a non-finite value"):
+            fit_codebook(self.vectors(bad), (3, 2), opq_subspaces=2, opq_codes=2, iters=3,
+                         opq_outer_iters=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_opq_fit(self, bad):
+        with pytest.raises(ValueError, match="residual row 5 holds a non-finite value"):
+            opq_fit(self.vectors(bad), subspaces=2, codes_per_subspace=2, outer_iters=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode_batch(self, random_codebook, bad):
+        with pytest.raises(ValueError, match="embedding row 5 holds a non-finite value"):
+            encode_batch(self.vectors(bad, random_codebook.dim), random_codebook)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode(self, random_codebook, bad):
+        vec = np.zeros(random_codebook.dim)
+        vec[-1] = bad
+        with pytest.raises(ValueError, match="embedding row 0 holds a non-finite value"):
+            encode(vec, random_codebook)
+
+
 class TestLookupAndReconstruct:
     def test_code_zero_gives_first_rows(self, random_codebook):
         codebook = random_codebook

@@ -561,3 +561,28 @@ class TestWriterRefuses:
         assert cli.main(argv + ["--out", str(tmp_path / "out.tsv")]) == 0
         assert capsys.readouterr().out == ""
         assert stdout and stdout.encode("utf-8") == (tmp_path / "out.tsv").read_bytes()
+
+    @pytest.mark.parametrize("rows, record, detail", [
+        ([("a", "b"), ("c", 5)], 2, "expected str instance"),
+        (({"a": 1}["b"] for _ in range(1)), 1, "missing key 'b'"),
+    ], ids=["non_string_tsv_field", "key_error_from_row_generator"])
+    def test_type_and_key_errors_name_the_record_and_remove_the_file(self, tmp_path, rows,
+                                                                     record, detail):
+        path = tmp_path / "p.tsv"
+        message = _raises_at(lambda p: write_records(p, rows), path, f"{path}:{record}")
+        assert detail in message
+        assert not path.exists()
+
+    def test_interrupt_from_row_generator_removes_the_file_and_propagates(self, tmp_path):
+        def rows():
+            yield ("a", "b")
+            raise KeyboardInterrupt
+
+        path = tmp_path / "p.tsv"
+        with pytest.raises(KeyboardInterrupt):
+            write_records(path, rows())
+        assert not path.exists()
+
+    def test_type_error_to_stdout_names_the_record(self, capsys):
+        _raises_at(lambda p: write_records(p, [("a", "b"), ("c", 5)]), None, "<stdout>:2")
+        assert capsys.readouterr().out == "a\tb\n"
