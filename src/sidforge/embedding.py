@@ -26,19 +26,46 @@ NER_ATTRIBUTES = (
 
 PAIR_KINDS = ("q2q", "i2i", "q2i")
 
+# Entries beyond this magnitude are refused, so no arithmetic on accepted
+# rows overflows float64 (max ~1.8e308). A product of two entries, or the
+# square of a difference, is at most 4e200; a sum of at most 2^40 such terms
+# (a squared norm or distance, a k-means++ weight total, a Procrustes product,
+# a mean's sum) stays below ~4.4e212. A residual level at most doubles the
+# largest entry (it subtracts a table entry or a mean of earlier residuals),
+# and even 150 levels keep such sums below ~9e302; an orthonormal rotation
+# keeps row norms. The Hamerly margin 4 (d + 3) eps (max ||p|| + max ||t||)^2
+# is such a sum times a tiny factor. Float32 files (<= ~3.4e38) never reach it.
+_MAX_ABS = 1e100
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
 
-@dataclass(frozen=True)
+
+def float_rows(rows: np.ndarray, what: str, dim: int | None = None, *,
+               empty: bool = False) -> np.ndarray:
+    """``rows`` as a float64 ``(n, dim)`` array (any ``dim >= 1`` when None;
+    zero rows only when ``empty``). A wrong shape, NaN or inf, or an entry
+    beyond ``_MAX_ABS`` raises ``ValueError`` naming ``what`` and the first
+    bad row. The common case costs one min and one max, no (n, dim) temporary.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    n, d = rows.shape if rows.ndim == 2 else (0, 0)
+    if not d or dim not in (None, d) or not (n or empty):
+        raise ValueError(f"{what} must be {'an' if empty else 'a nonempty'} (n, dim) array "
+                         f"with dim {dim or '>= 1'}, got shape {rows.shape}")
+    if n and not (-_MAX_ABS <= _MIN(rows, None) and _MAX(rows, None) <= _MAX_ABS):
+        bad = int(np.argmin((np.abs(rows) <= _MAX_ABS).all(axis=1)))
+        kind = f"value beyond {_MAX_ABS:g}" if np.isfinite(rows[bad]).all() else "non-finite value"
+        raise ValueError(f"{what} row {bad} holds a {kind}")
+    return rows
+
+
+@dataclass(frozen=True, init=False)
 class Embedding:
     id: str
     vector: np.ndarray
 
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if vec.ndim != 1 or vec.size == 0:
-            raise ValueError(f"embedding {self.id!r} must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"embedding {self.id!r} contains non-finite values")
-        object.__setattr__(self, "vector", vec)
+    def __init__(self, id: str, vector: np.ndarray) -> None:
+        rows = float_rows(np.asarray(vector)[None], f"embedding {id!r}")
+        self.__dict__.update(id=id, vector=rows[0])  # frozen: __setattr__ refuses
 
     @property
     def dim(self) -> int:
@@ -79,18 +106,14 @@ class Catalog:
     """Fixed-dimension embedding table keyed by id; immutable after build."""
 
     def __init__(self, ids: Sequence[str], matrix: np.ndarray):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] == 0:
-            raise ValueError("catalog matrix must be 2-D with d > 0")
+        matrix = float_rows(matrix, "catalog", empty=True)
         if len(ids) != matrix.shape[0]:
             raise ValueError("id count does not match row count")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("catalog contains non-finite values")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate ids in catalog")
         self.ids = list(ids)
         self.matrix = matrix
-        self._row = {item_id: i for i, item_id in enumerate(self.ids)}
+        self._row = dict(zip(self.ids, range(len(self.ids))))
+        if len(self._row) != len(self.ids):
+            raise ValueError("duplicate ids in catalog")
 
     @property
     def dim(self) -> int:

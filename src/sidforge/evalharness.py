@@ -8,7 +8,8 @@ cluster center, so keyword enhancement measurably tightens clusters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -82,11 +83,14 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = (Integral, "an integer") if f.type == "int" else (Real, "a real number")
+            if isinstance(value, bool) or not isinstance(value, kind[0]) or not 0 <= value < np.inf:
+                raise ValueError(f"{f.name} must be {kind[1]} >= 0, got {value!r}")
         if min(self.clusters, self.items_per_cluster, self.dim, self.keywords_per_item) < 1:
             raise ValueError("cluster count, items per cluster, dim, keywords must be positive")
-        if self.noise_scale < 0 or self.keyword_noise < 0 or self.sessions < 0:
-            raise ValueError("scales and session count must be non-negative")
-        if not 0.0 <= self.collapsed_frac <= 1.0:
+        if self.collapsed_frac > 1.0:
             raise ValueError("collapsed_frac must be in [0, 1]")
         if self.collapsed_frac > 0.0 and self.collapse_points < 1:
             raise ValueError("collapsed_frac needs collapse_points >= 1")

@@ -180,14 +180,16 @@ class CooccurrenceScorer:
         if self.scheme.sizes[pos:pos + 1] != (vocab,):
             raise ValueError(f"no position {pos} of {vocab} codes in scheme {self.scheme.sizes}")
         q1 = self._context_digit(context)
-        rows = np.empty((len(prefixes), vocab))
-        for row, prev in zip(rows, prefixes[:, -1].tolist() if pos else [-1] * len(rows)):
+        slots, inverse = np.unique(prefixes[:, -1] if pos else np.full(len(prefixes), -1),
+                                   return_inverse=True)
+        rows = np.empty((len(slots), vocab))
+        for row, prev in zip(rows, slots.tolist()):
             slot = self.counts.get((pos, q1, prev), {})
             total = sum(slot.values()) + vocab
             row.fill(math.log(1 / total))
             for digit, count in slot.items():
                 row[digit] = math.log((count + 1) / total)
-        return rows
+        return rows[inverse]
 
     def save(self, path: str | Path) -> None:
         payload = {

@@ -13,6 +13,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .embedding import float_rows
+
 
 @dataclass
 class KmeansResult:
@@ -26,24 +28,9 @@ class KmeansResult:
 
 
 def _as_points(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("point set must be a nonempty (n, d) array")
-    require_finite(pts, "point")
-    return pts
-
-
-def require_finite(rows: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` naming the first row of a 2-D array holding NaN or inf.
-
-    The common case costs one min and one max, with no (n, d) temporary.
-    """
-    if np.isfinite(rows.min(initial=0.0)) and np.isfinite(rows.max(initial=0.0)):
-        return
-    bad = int(np.argmin(np.isfinite(rows).all(axis=1)))
-    raise ValueError(f"{what} row {bad} holds a non-finite value")
+    """The checked points; a 1-D input is one column."""
+    pts = np.asarray(points)
+    return float_rows(pts[:, None] if pts.ndim == 1 else pts, "point")
 
 
 # Distance blocks hold at most this many float64 entries (2 MB), so a

@@ -18,8 +18,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from ._records import read_json
-from .embedding import Catalog
-from .kmeans import BoundedNearest, balanced_kmeans_fit, kmeans_fit, lloyd, nearest, require_finite
+from .embedding import Catalog, float_rows
+from .kmeans import BoundedNearest, balanced_kmeans_fit, kmeans_fit, lloyd, nearest
 from .sids import Sid, SidScheme
 
 _MAGIC = b"SIDF"
@@ -35,11 +35,11 @@ class RqCodebook:
     def __post_init__(self) -> None:
         if len(self.levels) != len(self.level_sizes):
             raise ValueError("level table count does not match level_sizes")
+        self.levels = [float_rows(t, f"level {l + 1} table", empty=True)
+                       for l, t in enumerate(self.levels)]
         for table, w in zip(self.levels, self.level_sizes):
-            if table.shape[0] != w:
-                raise ValueError(f"level table has {table.shape[0]} rows, expected {w}")
-            if not np.all(np.isfinite(table)):
-                raise ValueError("non-finite centroid")
+            if table.shape != (w, self.dim):
+                raise ValueError(f"level table has shape {table.shape}, expected {(w, self.dim)}")
 
     @property
     def dim(self) -> int:
@@ -52,13 +52,13 @@ class OpqCodebook:
     subspaces: list[np.ndarray]             # per subspace: (codes, d/#subspaces)
 
     def __post_init__(self) -> None:
-        d = self.rotation.shape[0]
-        if self.rotation.shape != (d, d):
-            raise ValueError("rotation must be square")
-        err = float(np.max(np.abs(self.rotation.T @ self.rotation - np.eye(d))))
+        self.rotation = float_rows(self.rotation, "rotation", len(self.rotation))
+        self.subspaces = [float_rows(t, f"subspace {s} table", empty=True)
+                          for s, t in enumerate(self.subspaces)]
+        err = float(np.max(np.abs(self.rotation.T @ self.rotation - np.eye(self.dim))))
         if err > 1e-5:
             raise ValueError(f"rotation not orthonormal (max deviation {err:.2e})")
-        if sum(t.shape[1] for t in self.subspaces) != d:
+        if sum(t.shape[1] for t in self.subspaces) != self.dim:
             raise ValueError("subspace dims do not sum to d")
 
     @property
@@ -116,10 +116,7 @@ def _rq_fit_full(
     seed: int,
 ) -> tuple[RqCodebook, dict[str, Any], np.ndarray, np.ndarray]:
     """rq_fit plus the per-level fit codes (n, L) and final fit residuals."""
-    vectors = catalog.matrix if isinstance(catalog, Catalog) else np.asarray(catalog, dtype=np.float64)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise ValueError("catalog must be a nonempty (n, d) array")
-    require_finite(vectors, "catalog")
+    vectors = float_rows(catalog.matrix if isinstance(catalog, Catalog) else catalog, "catalog")
     level_sizes = tuple(int(w) for w in level_sizes)
     if not level_sizes:
         raise ValueError("need at least one level")
@@ -205,15 +202,11 @@ def opq_fit(
     Inner k-means is warm-started between rounds, which keeps the
     reconstruction error non-increasing over outer iterations.
     """
-    X = np.asarray(residuals, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("residual set must be a nonempty (n, d) array")
+    X = float_rows(residuals, "residual")
     n, d = X.shape
     if subspaces < 1 or d % subspaces != 0:
         raise ValueError(f"d={d} not divisible by {subspaces} subspaces")
     dsub = d // subspaces
-
-    require_finite(X, "residual")
 
     rotation = np.eye(d)
     tables: list[np.ndarray] = []
@@ -267,9 +260,8 @@ def fit_codebook(
     balanced last level these reflect the capacity constraint, which a
     later greedy re-encode would not.
     """
-    vectors = catalog.matrix if isinstance(catalog, Catalog) else np.asarray(catalog, dtype=np.float64)
     rq, rq_stats, rq_codes, fit_residuals = _rq_fit_full(
-        vectors, level_sizes, balanced_last, iters=iters, seed=seed
+        catalog, level_sizes, balanced_last, iters=iters, seed=seed
     )
     opq, opq_stats = opq_fit(
         fit_residuals, opq_subspaces, opq_codes, outer_iters=opq_outer_iters, seed=seed
@@ -277,8 +269,8 @@ def fit_codebook(
     opq_codes, _ = descend((), opq, fit_residuals)
     fit_sids = _to_sids(np.concatenate([rq_codes, opq_codes], axis=1), len(rq.levels))
     meta = {
-        "dim": int(vectors.shape[1]),
-        "n_fit_vectors": int(vectors.shape[0]),
+        "dim": int(fit_residuals.shape[1]),
+        "n_fit_vectors": int(fit_residuals.shape[0]),
         "seed": seed,
         "rq": rq_stats,
         "opq": opq_stats,
@@ -288,17 +280,11 @@ def fit_codebook(
 
 def encode(embedding: np.ndarray, codebook: RqOpqCodebook) -> Sid:
     """Greedy nearest-centroid descent; ties break to the lowest index."""
-    vec = np.asarray(embedding, dtype=np.float64)
-    if vec.shape != (codebook.dim,):
-        raise ValueError(f"embedding has shape {vec.shape}, codebook dim is {codebook.dim}")
-    return encode_batch(vec[None, :], codebook)[0]
+    return encode_batch(np.asarray(embedding)[None], codebook)[0]
 
 
 def encode_batch(vectors: np.ndarray, codebook: RqOpqCodebook) -> list[Sid]:
-    vecs = np.asarray(vectors, dtype=np.float64)
-    if vecs.ndim != 2 or vecs.shape[1] != codebook.dim:
-        raise ValueError(f"expected (n, {codebook.dim}) array, got {vecs.shape}")
-    require_finite(vecs, "embedding")
+    vecs = float_rows(vectors, "embedding", codebook.dim, empty=True)
     codes, _ = descend(codebook.rq.levels, codebook.opq, vecs)
     return _to_sids(codes, len(codebook.rq.levels))
 

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .embedding import float_rows
 from .quantizer import RqOpqCodebook, encode_batch
 from .sids import Sid, SidCatalog
 
@@ -68,12 +69,7 @@ def drift_report(
     total = len(baseline)
     steps: list[DriftStep] = []
     for b, batch in enumerate(batches):
-        vecs = np.asarray(batch, dtype=np.float64)
-        if vecs.ndim != 2 or vecs.shape[0] == 0:
-            raise ValueError(f"batch {b} must be a nonempty (n, d) array")
-        if vecs.shape[1] != codebook.dim:
-            raise ValueError(f"batch {b} has dim {vecs.shape[1]}, codebook dim is {codebook.dim}")
-        sids = encode_batch(vecs, codebook)
+        sids = encode_batch(float_rows(batch, f"batch {b}", codebook.dim), codebook)
         occupied_before = set(counts)
         hits = sum(1 for sid in sids if key(sid) in occupied_before)
         for sid in sids:

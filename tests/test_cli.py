@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import sidforge
+from sidforge import reward
 from sidforge.cli import main
 from sidforge.embedding import Catalog, load_catalog, save_catalog
-from sidforge.sids import SidScheme, read_sid_file
+from sidforge.sids import SidScheme, read_sid_file, read_sid_sequence
 
 LEVELS = "4,3,2"
 OPQ = "2x2"
@@ -54,6 +55,22 @@ class TestSynthAndCodebook:
     def test_encode_emits_parseable_sids(self, workspace):
         catalog = read_sid_file(workspace / "items.sids", SCHEME)
         assert len(catalog) == 32
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"sessions": 5, "max_session_clicks": -1}, "max_session_clicks"),
+    ({"center_scale": -1}, "center_scale"),
+    ({"collapsed_frac": 0.5, "collapse_points": 2, "collapse_noise": -0.1}, "collapse_noise"),
+    ({"items_per_cluster": 2.5}, "items_per_cluster"),
+    ({"dim": True}, "dim"),
+], ids=["negative_clicks", "negative_center_scale", "negative_collapse_noise",
+        "fractional_count", "bool_dim"])
+def test_synth_bad_spec_names_path(tmp_path, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError) as info:
+        main(["synth", "--spec", str(path), "--out", str(tmp_path / "data")])
+    assert str(info.value).startswith(f"{path}: {field} must be "), str(info.value)
 
 
 class TestEnhance:
@@ -326,6 +343,135 @@ class TestCurriculumCommands:
         assert any(r[3] == "-" for r in rows)
 
 
+class TestFlagsReachTheApi:
+    """Each flag below changes the command's output bytes to those of the API
+    call given the same non-default value, so a flag that is dropped or wired
+    to another parameter fails."""
+
+    @pytest.mark.parametrize("flag, kwargs", [("--iters", {"iters": 2}),
+                                              ("--opq-iters", {"opq_outer_iters": 1})])
+    def test_fit_codebook(self, workspace, tmp_path, flag, kwargs):
+        from sidforge.quantizer import fit_codebook, save_codebook
+
+        catalog = workspace / "data" / "items.catalog"
+        assert main(["fit-codebook", "--catalog", str(catalog), "--levels", LEVELS,
+                     "--balanced-last", "--opq", OPQ, "--seed", "3",
+                     flag, str(*kwargs.values()), "--out", str(tmp_path / "cli.bin")]) == 0
+        save_codebook(fit_codebook(load_catalog(catalog), (4, 3, 2), balanced_last=True,
+                                   opq_subspaces=2, opq_codes=2, seed=3, **kwargs),
+                      tmp_path / "api.bin")
+        for name in ("{}.bin", "{}.bin.meta.json"):
+            cli = (tmp_path / name.format("cli")).read_bytes()
+            assert cli == (tmp_path / name.format("api")).read_bytes()
+            assert cli != (workspace / name.format("cb")).read_bytes()
+
+    def test_curriculum_max_window(self, workspace, tmp_path):
+        from sidforge import curriculum
+        from sidforge.cli import _read_sessions
+        from sidforge.quantizer import load_codebook
+
+        assert main(["curriculum", "--stage", "3",
+                     "--sessions", str(workspace / "data" / "sessions.jsonl"),
+                     "--sids", str(workspace / "items.sids"),
+                     "--query-sids", str(workspace / "queries.sids"),
+                     "--codebook", str(workspace / "cb.bin"), "--max-window", "1",
+                     "--out", str(tmp_path / "cli.tsv")]) == 0
+        codebook = load_codebook(workspace / "cb.bin")
+        sessions = _read_sessions(workspace / "data" / "sessions.jsonl",
+                                  read_sid_file(workspace / "items.sids", SCHEME).entries,
+                                  read_sid_file(workspace / "queries.sids", SCHEME).entries)
+        cli = (tmp_path / "cli.tsv").read_bytes()
+        for window, path in ((1, "api.tsv"), (curriculum.DEFAULT_MAX_WINDOW, "default.tsv")):
+            records, _ = curriculum.build_stage3(sessions, codebook, max_window=window)
+            curriculum.write_task_records(records, tmp_path / path)
+        assert cli == (tmp_path / "api.tsv").read_bytes()
+        assert cli != (tmp_path / "default.tsv").read_bytes()
+
+    _INTERACTIONS = ("q1\twin\t1\t100\t60\t30\n"
+                     "q1\tlose1\t5\t0\t0\t0\n"
+                     "q1\tlose2\t4\t50\t40\t30\n")
+
+    @pytest.mark.parametrize("flags, kwargs", [
+        (["--epsilon", "1000"], {"epsilon": 1000.0}),
+        (["--reranks", "{reranks}"], {"reranks": [
+            reward.RerankRecord("q2", ("a", "b", "c"), ("c", "a", "b"))]}),
+    ], ids=["epsilon", "reranks"])
+    def test_build_pairs(self, tmp_path, flags, kwargs):
+        inter = tmp_path / "inter.tsv"
+        inter.write_text(self._INTERACTIONS)
+        reranks = tmp_path / "reranks.tsv"
+        reranks.write_text("q2\ta,b,c\tc,a,b\n")
+        flags = [f.format(reranks=reranks) for f in flags]
+        assert main(["build-pairs", "--interactions", str(inter), *flags,
+                     "--out", str(tmp_path / "cli.jsonl")]) == 0
+        records = reward.read_interactions(inter)
+        for path, options in (("api.jsonl", kwargs), ("default.jsonl", {})):
+            reward.write_preference_lists(
+                reward.build_preference_lists(records, **options)[0], tmp_path / path)
+        cli = (tmp_path / "cli.jsonl").read_bytes()
+        assert cli == (tmp_path / "api.jsonl").read_bytes()
+        assert cli != (tmp_path / "default.jsonl").read_bytes()
+
+    def test_drift_rq_only(self, workspace, tmp_path):
+        from sidforge.quantizer import load_codebook
+        from sidforge.sidmetrics import drift_report
+
+        base = load_catalog(workspace / "data" / "items.catalog")
+        batches = tmp_path / "batches"
+        batches.mkdir()
+        batch = base.matrix[::3] + 0.05
+        save_catalog(Catalog([f"n{i}" for i in range(len(batch))], batch),
+                     batches / "b0.catalog")
+        assert main(["drift", "--codebook", str(workspace / "cb.bin"),
+                     "--baseline", str(workspace / "items.sids"), "--batches", str(batches),
+                     "--rq-only", "--out", str(tmp_path / "cli.tsv")]) == 0
+        codebook = load_codebook(workspace / "cb.bin")
+        baseline = read_sid_file(workspace / "items.sids", codebook.scheme)
+        batch = load_catalog(batches / "b0.catalog").matrix
+
+        def rendered(use_opq):
+            return "batch\tsize\tcumulative\ticr\toccupied_ratio\n" + "".join(
+                f"{s.batch_index}\t{s.batch_size}\t{s.cumulative_size}\t{s.icr!r}\t"
+                f"{s.occupied_ratio!r}\n"
+                for s in drift_report(codebook, baseline, [batch], use_opq=use_opq))
+
+        cli = (tmp_path / "cli.tsv").read_text()
+        assert cli == rendered(False)
+        assert cli != rendered(True)
+
+    def test_encode_user_long_order_and_rsu(self, workspace, tmp_path):
+        from sidforge.identity import BehaviorSequence, aggregate_long
+        from sidforge.quantizer import load_codebook
+
+        lines = (workspace / "items.sids").read_text().splitlines()
+        files = {}
+        for name, rows in (("short", lines[:3]), ("long", lines[3:8]),
+                           ("order", lines[8:11]), ("rsu", lines[11:15])):
+            files[name] = tmp_path / f"{name}.sids"
+            files[name].write_text("\n".join(rows) + "\n")
+        assert main(["encode-user", "--codebook", str(workspace / "cb.bin"),
+                     "--short", str(files["short"]), "--long", str(files["long"]),
+                     "--long-order", str(files["order"]), "--long-rsu", str(files["rsu"]),
+                     "--aggregate-out", str(tmp_path / "cli.catalog"),
+                     "--out", str(tmp_path / "user.tsv")]) == 0
+        codebook = load_codebook(workspace / "cb.bin")
+
+        def seq(name, kind):
+            entries = read_sid_sequence(files[name], codebook.scheme)
+            return BehaviorSequence(tuple(sid for _, sid in entries), kind)
+
+        empty = {kind: BehaviorSequence((), kind) for kind in ("long_order", "long_rsu")}
+        for path, order, rsu in (("api.catalog", seq("order", "long_order"),
+                                  seq("rsu", "long_rsu")),
+                                 ("default.catalog", empty["long_order"], empty["long_rsu"])):
+            rows = aggregate_long(seq("long", "long_click"), order, rsu, codebook).as_rows()
+            save_catalog(Catalog([r[0] for r in rows], np.stack([r[1] for r in rows])),
+                         tmp_path / path)
+        cli = (tmp_path / "cli.catalog").read_bytes()
+        assert cli == (tmp_path / "api.catalog").read_bytes()
+        assert cli != (tmp_path / "default.catalog").read_bytes()
+
+
 class TestEvaluateSids:
     def _scorer(self, workspace):
         from sidforge.generator import cooccurrence_fit
@@ -455,7 +601,7 @@ def test_pipeline_outputs_do_not_depend_on_hash_seed(tmp_path):
         out = tmp_path / f"hashseed{seed}"
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", _PIPELINE, str(out), str(spec)],
+        subprocess.run([sys.executable, "-W", "error", "-c", _PIPELINE, str(out), str(spec)],
                        env=env, check=True, timeout=300)
         outputs.append({p.relative_to(out).as_posix(): p.read_bytes()
                         for p in sorted(out.rglob("*")) if p.is_file()})

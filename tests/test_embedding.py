@@ -10,6 +10,7 @@ from sidforge.embedding import (
     compose_enhanced,
     cosine,
     cosine_filter,
+    float_rows,
     load_catalog,
     make_pair,
     match_keywords,
@@ -145,6 +146,39 @@ class TestCatalogIO:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Catalog(["a", "a"], np.zeros((2, 2)))
+
+
+class TestFloatRows:
+    """The one gate for float arrays: shape, NaN or inf, and magnitude."""
+
+    @given(n=st.integers(1, 40), dim=st.integers(1, 6), data=st.data(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf])
+           | st.floats(min_value=1e100, exclude_min=True, allow_infinity=False)
+           | st.floats(max_value=-1e100, exclude_max=True, allow_infinity=False))
+    def test_error_names_the_bad_row(self, n, dim, data, bad):
+        row = data.draw(st.integers(0, n - 1), label="row")
+        rows = np.random.default_rng(n).normal(size=(n, dim))
+        rows[row, data.draw(st.integers(0, dim - 1), label="col")] = bad
+        with pytest.raises(ValueError, match=f"^catalog row {row} holds "):
+            float_rows(rows, "catalog")
+        with pytest.raises(ValueError, match=f"^catalog row {row} holds "):
+            Catalog([f"i{i}" for i in range(n)], rows)
+
+    def test_bound_itself_accepted(self):
+        rows = float_rows([[1e100, -1e100], [0.0, 1.0]], "catalog")
+        assert rows.dtype == np.float64 and rows.shape == (2, 2)
+
+    @pytest.mark.parametrize("shape, dim, empty", [
+        ((3,), None, False), ((2, 0), None, False), ((1, 2, 3), None, False),
+        ((0, 3), None, False), ((4, 3), 2, True),
+    ])
+    def test_bad_shape_names_the_noun_and_dim(self, shape, dim, empty):
+        with pytest.raises(ValueError, match=r"^catalog must be .*\(n, dim\) array with dim"):
+            float_rows(np.zeros(shape), "catalog", dim, empty=empty)
+
+    def test_zero_rows_only_when_allowed(self):
+        assert float_rows(np.zeros((0, 3)), "catalog", 3, empty=True).shape == (0, 3)
+        assert len(Catalog([], np.zeros((0, 3)))) == 0
 
 
 class TestPairsIO:

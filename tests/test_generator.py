@@ -283,6 +283,25 @@ class TestCooccurrenceScorer:
                 assert row == [math.log((slot.get(d, 0) + 1) / (total + vocab))
                                for d in range(vocab)]
 
+    def test_wide_block_with_repeated_slots_equals_per_beam_formula(self):
+        """A step scores each distinct previous digit once and hands that row
+        to every beam sharing it; each beam still gets its own formula's bits."""
+        scheme = SidScheme((8, 16), (32,))
+        rng = np.random.default_rng(6)
+        scorer = cooccurrence_fit(np.column_stack(
+            [rng.integers(n, size=300) for n in (8, *scheme.sizes)]), scheme)
+        for pos, q1 in itertools.product(range(scheme.length), (2, 5)):
+            vocab = scheme.sizes[pos]
+            prefixes = np.column_stack([rng.integers(n, size=600) for n in scheme.sizes[:pos]]
+                                       or [np.zeros((600, 0), dtype=np.int64)])
+            rows = scorer.score_step([q1], prefixes, vocab)
+            assert rows.shape == (600, vocab)
+            for row, prefix in zip(rows.tolist(), prefixes.tolist()):
+                slot = scorer.counts.get((pos, q1, prefix[-1] if prefix else -1), {})
+                total = sum(slot.values())
+                assert row == [math.log((slot.get(d, 0) + 1) / (total + vocab))
+                               for d in range(vocab)]
+
     def test_query_digit_outside_scheme_rejected(self):
         with pytest.raises(ValueError, match="query digit 3"):
             cooccurrence_fit([(sid(3, 0, 0), sid(0, 0, 0))], SCHEME)

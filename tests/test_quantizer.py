@@ -21,7 +21,10 @@ from sidforge.quantizer import (
     rq_fit,
     save_codebook,
 )
-from sidforge.sids import Sid
+from sidforge.embedding import Catalog
+from sidforge.kmeans import balanced_kmeans_fit, kmeans_fit
+from sidforge.sidmetrics import drift_report
+from sidforge.sids import Sid, SidCatalog
 
 
 def hierarchical_catalog():
@@ -182,6 +185,9 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(np.zeros(3), codebook)
 
+    def test_zero_rows_encode_to_nothing(self, codebook):
+        assert encode_batch(np.zeros((0, codebook.dim)), codebook) == []
+
 
     def test_peak_memory_bounded_by_chunks_not_n_times_k(self):
         rng = np.random.default_rng(9)
@@ -233,6 +239,63 @@ class TestNonFiniteRejected:
         vec[-1] = bad
         with pytest.raises(ValueError, match="embedding row 0 holds a non-finite value"):
             encode(vec, random_codebook)
+
+
+class TestHugeValuesRejected:
+    """Finite values beyond the gate's bound are refused like NaN, naming the
+    first bad row, before any product or square can overflow."""
+
+    CALLERS = {
+        "encode_batch": lambda x, cb: encode_batch(x, cb),
+        "kmeans_fit": lambda x, cb: kmeans_fit(x, 3),
+        "balanced_kmeans_fit": lambda x, cb: balanced_kmeans_fit(x, 3),
+        "fit_codebook": lambda x, cb: fit_codebook(x, (3, 2), opq_subspaces=2, opq_codes=2,
+                                                   iters=3, opq_outer_iters=1),
+        "opq_fit": lambda x, cb: opq_fit(x, subspaces=2, codes_per_subspace=2, outer_iters=1),
+        "drift_report": lambda x, cb: drift_report(cb, SidCatalog({}, cb.scheme), [x]),
+        "Catalog": lambda x, cb: Catalog([f"i{n}" for n in range(len(x))], x),
+    }
+
+    @pytest.mark.parametrize("bad", [np.finfo(float).max, -np.finfo(float).max, 1e300])
+    @pytest.mark.parametrize("caller", list(CALLERS))
+    def test_names_first_bad_row(self, random_codebook, caller, bad):
+        vecs = np.random.default_rng(8).normal(size=(40, random_codebook.dim))
+        vecs[6, 1] = bad
+        vecs[11, 0] = -bad
+        with pytest.raises(ValueError, match="row 6 holds a value beyond"):
+            self.CALLERS[caller](vecs, random_codebook)
+
+
+class TestCodebookTablesChecked:
+    """Every table a codebook holds goes through the gate, so a corrupt file
+    fails at load, naming its path, instead of encoding garbage."""
+
+    def test_nan_rotation_entry(self):
+        rotation = np.eye(4)
+        rotation[2, 3] = np.nan
+        with pytest.raises(ValueError, match="rotation row 2 holds a non-finite value"):
+            OpqCodebook(rotation, [np.zeros((2, 2))] * 2)
+
+    def test_inf_subspace_entry(self):
+        tables = [np.zeros((2, 2)), np.zeros((3, 2))]
+        tables[1][2, 0] = np.inf
+        with pytest.raises(ValueError, match="subspace 1 table row 2 holds a non-finite value"):
+            OpqCodebook(np.eye(4), tables)
+
+    @pytest.mark.parametrize("table, value", [("rotation", np.nan), ("subspace", np.inf)])
+    def test_load_names_path(self, random_codebook, tmp_path, table, value):
+        path = tmp_path / "corrupt.cb"
+        save_codebook(random_codebook, path)
+        data = bytearray(path.read_bytes())
+        (blob_len,) = struct.unpack("<I", data[8:12])
+        d = random_codebook.dim
+        rotation = 12 + blob_len + 4 * d * sum(random_codebook.rq.level_sizes)
+        # rotation row 1, column 1, or row 1 of the first subspace table
+        entry = rotation + 4 * (d + 1 if table == "rotation" else d * d + d // 2)
+        data[entry:entry + 4] = np.float32(value).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=f"{path}: {table}.* row 1 holds a non-finite value"):
+            load_codebook(path)
 
 
 class TestLookupAndReconstruct:
