@@ -58,7 +58,18 @@ def float_rows(rows: np.ndarray, what: str, dim: int | None = None, *,
     return rows
 
 
-@dataclass(frozen=True, init=False)
+def float32_rows(rows: np.ndarray, what: str) -> np.ndarray:
+    """Finite ``rows`` as little-endian float32 for a file. An entry the cast
+    would turn into inf (beyond ~3.4e38) raises ``ValueError`` naming ``what`` and its row."""
+    with np.errstate(over="ignore"):
+        out = rows.astype("<f4")
+    if not np.isfinite(out).all():
+        bad = int(np.argmin(np.isfinite(out).all(axis=1)))
+        raise ValueError(f"{what} row {bad} holds a value beyond float32 range")
+    return out
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Embedding:
     id: str
     vector: np.ndarray
@@ -72,7 +83,7 @@ class Embedding:
         return self.vector.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KeywordSet:
     """Core keywords attached to one query or item."""
 
@@ -190,7 +201,8 @@ def match_keywords(text: str, lexicon: Mapping[str, Sequence[str]]) -> list[tupl
 
 
 def save_catalog(catalog: Catalog, path: str | Path) -> None:
-    blobs = (base64.b64encode(v.astype("<f4").tobytes()).decode("ascii") for v in catalog.matrix)
+    rows = float32_rows(catalog.matrix, "catalog")
+    blobs = (base64.b64encode(v.tobytes()).decode("ascii") for v in rows)
     write_records(path, itertools.chain([(f"dim={catalog.dim}",)], zip(catalog.ids, blobs)))
 
 

@@ -49,20 +49,13 @@ class _TrieNode:
 
 
 class SidTrie:
-    """Prefix tree over catalog code tuples; terminals carry item ids."""
+    """Prefix tree over catalog code tuples; terminals carry item ids. Children
+    and terminal ids are in ascending order, so readers never sort."""
 
     def __init__(self, scheme: SidScheme):
         self.scheme = scheme
         self.root = _TrieNode()
         self.size = 0
-
-    def insert(self, sid: Sid, item_id: str) -> None:
-        digits = self.scheme.validate(sid).digits
-        node = self.root
-        for d in digits:
-            node = node.children.setdefault(d, _TrieNode())
-        node.item_ids.append(item_id)
-        self.size += 1
 
     def contains(self, digits: tuple[int, ...]) -> bool:
         return bool(self.items_at(digits))
@@ -73,17 +66,19 @@ class SidTrie:
             node = node.children.get(d)
             if node is None:
                 return []
-        return sorted(node.item_ids)
+        return list(node.item_ids)
 
 
 def build_trie(sid_catalog: SidCatalog) -> SidTrie:
-    """Trie containing exactly the catalog's SIDs; duplicates share a path."""
+    """Trie of exactly the catalog's SIDs, laid out from one sort of
+    ``(digits, id)``; duplicates share a path."""
     trie = SidTrie(sid_catalog.scheme)
-    lengths = {len(sid) for _, sid in sid_catalog}
-    if len(lengths) > 1:
-        raise ValueError(f"mixed SID lengths in catalog: {sorted(lengths)}")
-    for item_id in sorted(sid_catalog.entries):
-        trie.insert(sid_catalog.entries[item_id], item_id)
+    for digits, item_id in sorted((sid.digits, item_id) for item_id, sid in sid_catalog):
+        node = trie.root
+        for d in digits:
+            node = node.children.setdefault(d, _TrieNode())
+        node.item_ids.append(item_id)
+    trie.size = len(sid_catalog)
     return trie
 
 
@@ -129,9 +124,8 @@ def beam_search(
     for step in range(length):
         vocab = scheme.sizes[step]
         if constrained:
-            kids = [sorted(node.children) for node in nodes]
-            parent = np.repeat(np.arange(len(kids)), [len(k) for k in kids])
-            digit = np.array([d for k in kids for d in k], dtype=np.int64)
+            parent = np.repeat(np.arange(len(nodes)), [len(node.children) for node in nodes])
+            digit = np.array([d for node in nodes for d in node.children], dtype=np.int64)
         else:
             parent, digit = np.divmod(np.arange(len(prefixes) * vocab), vocab)
         rows = np.asarray(scorer.score_step(context, prefixes, vocab), dtype=float)

@@ -68,7 +68,7 @@ class UserSid:
         return self.short_part + self.long_part
 
     def __post_init__(self) -> None:
-        if len(self.digits) != 10:
+        if (len(self.short_part), len(self.long_part)) != (5, 5):
             raise ValueError("user id must have 10 digits (5 short + 5 long)")
 
 

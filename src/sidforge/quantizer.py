@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from ._records import read_json
-from .embedding import Catalog, float_rows
+from .embedding import Catalog, float32_rows, float_rows
 from .kmeans import BoundedNearest, balanced_kmeans_fit, kmeans_fit, lloyd, nearest
 from .sids import Sid, SidScheme
 
@@ -291,29 +291,16 @@ def encode_batch(vectors: np.ndarray, codebook: RqOpqCodebook) -> list[Sid]:
 
 def lookup_centroids(sid: Sid, codebook: RqOpqCodebook) -> list[np.ndarray]:
     """Per-level hierarchy centroids for a SID; product digits are excluded."""
-    if len(sid.rq) != len(codebook.rq.levels):
-        raise ValueError(
-            f"SID has {len(sid.rq)} hierarchy digits, codebook has {len(codebook.rq.levels)} levels"
-        )
-    out = []
-    for code, table in zip(sid.rq, codebook.rq.levels):
-        if not 0 <= code < table.shape[0]:
-            raise ValueError(f"code {code} outside [0, {table.shape[0]})")
-        out.append(table[code].copy())
-    return out
+    SidScheme(codebook.rq.level_sizes).validate(Sid(sid.rq))
+    return [table[code].copy() for code, table in zip(sid.rq, codebook.rq.levels)]
 
 
 def reconstruct(sid: Sid, codebook: RqOpqCodebook) -> np.ndarray:
     """Sum of hierarchy centroids plus the de-rotated product centroids."""
-    vec = np.sum(lookup_centroids(sid, codebook), axis=0)
-    parts = []
-    for code, table in zip(sid.opq, codebook.opq.subspaces):
-        if not 0 <= code < table.shape[0]:
-            raise ValueError(f"code {code} outside [0, {table.shape[0]})")
-        parts.append(table[code])
-    if parts:
-        vec = vec + np.concatenate(parts) @ codebook.opq.rotation.T
-    return vec
+    codebook.scheme.validate(sid)
+    vec = np.sum([table[code] for code, table in zip(sid.rq, codebook.rq.levels)], axis=0)
+    parts = [table[code] for code, table in zip(sid.opq, codebook.opq.subspaces)]
+    return vec + np.concatenate(parts) @ codebook.opq.rotation.T
 
 
 def save_codebook(codebook: RqOpqCodebook, path: str | Path) -> None:
@@ -328,16 +315,16 @@ def save_codebook(codebook: RqOpqCodebook, path: str | Path) -> None:
         "opq_code_sizes": list(codebook.opq.code_sizes),
     }
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tables = [float32_rows(t, f"level {l + 1} table") for l, t in enumerate(codebook.rq.levels)]
+    tables.append(float32_rows(codebook.opq.rotation, "rotation"))
+    tables += [float32_rows(t, f"subspace {s} table") for s, t in enumerate(codebook.opq.subspaces)]
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for table in codebook.rq.levels:
-            f.write(table.astype("<f4").tobytes())
-        f.write(codebook.opq.rotation.astype("<f4").tobytes())
-        for table in codebook.opq.subspaces:
-            f.write(table.astype("<f4").tobytes())
+        for table in tables:
+            f.write(table.tobytes())
     sidecar = path.with_name(path.name + ".meta.json")
     sidecar.write_text(
         json.dumps(codebook.build_metadata, sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from ._records import read_records, write_records
@@ -74,6 +75,7 @@ class SidScheme:
         return sid
 
     def parse(self, text: str) -> Sid:
+        """The SID ``text`` spells exactly as :meth:`Sid.render` writes it."""
         sid = self._parsed.get(text)
         if sid is not None:
             return sid
@@ -83,17 +85,19 @@ class SidScheme:
         digits = tuple(int(p) for p in parts)
         n_rq = len(self.rq_sizes)
         sid = self.validate(Sid(rq=digits[:n_rq], opq=digits[n_rq:]))
+        if sid.render() != text:
+            raise ValueError(f"SID {text!r} is not in canonical form {sid.render()!r}")
         if len(self._parsed) < _PARSE_MEMO_CAP:
             self._parsed[text] = sid
         return sid
 
 
 class SidCatalog:
-    """Immutable mapping of item id to SID under one scheme."""
+    """Read-only mapping of item id to SID, each checked once against the scheme."""
 
     def __init__(self, entries: Mapping[str, Sid], scheme: SidScheme):
         self.scheme = scheme
-        self.entries = dict(entries)
+        self.entries: Mapping[str, Sid] = MappingProxyType(dict(entries))
         for sid in self.entries.values():
             scheme.validate(sid)
 

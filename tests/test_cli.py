@@ -134,6 +134,41 @@ class TestMetricsAndDrift:
         assert row.split("\t")[1] == "2"
 
 
+class TestUsageErrorsExit:
+    """Bad flag combinations exit with a message instead of a traceback."""
+
+    def test_bad_opq(self, workspace):
+        with pytest.raises(SystemExit, match="--opq expects SUBSPACESxCODES"):
+            main(["metrics", "--sids", str(workspace / "items.sids"),
+                  "--levels", LEVELS, "--opq", "2by2"])
+
+    def test_drift_without_batches(self, workspace, tmp_path):
+        with pytest.raises(SystemExit, match=f"no \\*.catalog files under {tmp_path}"):
+            main(["drift", "--codebook", str(workspace / "cb.bin"),
+                  "--baseline", str(workspace / "items.sids"), "--batches", str(tmp_path)])
+
+    def test_defaults_without_query(self, workspace, tmp_path):
+        (tmp_path / "stats.tsv").write_text("")
+        with pytest.raises(SystemExit, match="--defaults requires --query"):
+            main(["encode-user", "--codebook", str(workspace / "cb.bin"),
+                  "--defaults", str(tmp_path / "stats.tsv")])
+
+    def test_empty_sequences_without_defaults(self, workspace, tmp_path):
+        (tmp_path / "empty.sids").write_text("")
+        with pytest.raises(SystemExit, match="empty behavior sequence and no --defaults"):
+            main(["encode-user", "--codebook", str(workspace / "cb.bin"),
+                  "--short", str(tmp_path / "empty.sids")])
+
+    def test_dpo_eval_missing_logprob(self, tmp_path):
+        lists, logps = tmp_path / "lists.jsonl", tmp_path / "logps.tsv"
+        lists.write_text('{"context":"q1","winner":"w","losers":["l"],"deltas":[0.5]}\n')
+        logps.write_text("q1\tw\t-1.0\t-1.0\n")
+        with pytest.raises(SystemExit, match=r"missing log-probability entry for \('q1', 'l'\)"):
+            main(["dpo-eval", "--lists", str(lists), "--logprobs", str(logps),
+                  "--out", str(tmp_path / "dpo.tsv")])
+        assert not (tmp_path / "dpo.tsv").exists()
+
+
 class TestEncodeUser:
     def test_user_id_and_aggregate(self, workspace):
         sid_lines = (workspace / "items.sids").read_text().splitlines()

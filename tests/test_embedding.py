@@ -137,6 +137,21 @@ class TestCatalogIO:
         with pytest.raises(ValueError, match="non-finite"):
             Catalog(["a"], np.array([[np.nan, 1.0]]))
 
+    def test_float32_max_round_trips(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "x.catalog"
+        save_catalog(Catalog(["a"], np.array([[top, -top]])), path)
+        assert load_catalog(path).matrix.tolist() == [[top, -top]]
+
+    @pytest.mark.parametrize("value", [1e39, -1e50])
+    def test_entry_beyond_float32_refused_before_writing(self, tmp_path, value):
+        matrix = np.zeros((3, 2))
+        matrix[1, 0] = value
+        path = tmp_path / "x.catalog"
+        with pytest.raises(ValueError, match="catalog row 1 holds a value beyond float32 range"):
+            save_catalog(Catalog(["a", "b", "c"], matrix), path)
+        assert not path.exists()
+
     def test_dimension_enforced(self, tmp_path):
         path = tmp_path / "bad.catalog"
         path.write_text("dim=0\n")
@@ -146,6 +161,23 @@ class TestCatalogIO:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Catalog(["a", "a"], np.zeros((2, 2)))
+
+
+class TestIdentityEquality:
+    """Equal-valued embeddings are distinct objects; comparing or hashing
+    them must not touch the vector."""
+
+    def test_embedding(self):
+        a, b = emb("a", 1.0, 2.0), emb("a", 1.0, 2.0)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b}
+
+    def test_keyword_set(self):
+        a = KeywordSet("q", (emb("k", 1.0, 2.0),))
+        b = KeywordSet("q", (emb("k", 1.0, 2.0),))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 class TestFloatRows:

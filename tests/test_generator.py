@@ -60,14 +60,28 @@ class TestTrie:
         assert trie.items_at((1, 1, 1)) == ["a", "b"]
         assert trie.size == 2
 
-    def test_mixed_lengths_rejected(self):
-        scheme2 = SidScheme((3,), (2,))
-        entries = {"a": Sid((1,), (0,))}
-        cat = SidCatalog(entries, scheme2)
-        # force a malformed entry past the scheme check
-        cat.entries["b"] = Sid((1, 2), (0,))
-        with pytest.raises(ValueError, match="mixed"):
-            build_trie(cat)
+    def test_catalog_entries_are_read_only(self):
+        source = {"a": sid(1, 1, 1)}
+        cat = catalog_of(source)
+        with pytest.raises(TypeError):
+            cat.entries["b"] = sid(1, 2, 0)
+        source["b"] = sid(1, 2, 0)
+        assert dict(cat.entries) == {"a": sid(1, 1, 1)}
+
+    def test_layout_from_shuffled_catalog_is_sorted(self):
+        rng = np.random.default_rng(5)
+        ids = [f"i{n:02d}" for n in rng.permutation(40)]
+        entries = {i: sid(*(int(rng.integers(w)) for w in SCHEME.sizes)) for i in ids}
+        trie = build_trie(catalog_of(entries))
+        found, stack = [], [((), trie.root)]
+        while stack:
+            prefix, node = stack.pop()
+            assert list(node.children) == sorted(node.children)
+            assert node.item_ids == sorted(node.item_ids)
+            found += [(prefix, item_id) for item_id in node.item_ids]
+            stack += [(prefix + (d,), child) for d, child in node.children.items()]
+        assert sorted(found) == sorted((s.digits, i) for i, s in entries.items())
+        assert trie.size == len(entries)
 
 
 class TestBeamSearch:

@@ -365,6 +365,28 @@ class TestSerialization:
         save_codebook(cb, path)
         return path
 
+    def test_unsupported_version_names_path(self, saved):
+        data = saved.read_bytes()
+        saved.write_bytes(data[:4] + struct.pack("<I", 2) + data[8:])
+        with pytest.raises(ValueError, match=f"{saved}: unsupported version 2"):
+            load_codebook(saved)
+
+    def test_trailing_bytes_name_path(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match=f"{saved}: trailing bytes"):
+            load_codebook(saved)
+
+    @pytest.mark.parametrize("table", ["level 2 table", "subspace 1 table"])
+    def test_entry_beyond_float32_refused_before_writing(self, tmp_path, table):
+        levels = [np.zeros((2, 4)), np.zeros((3, 4))]
+        subspaces = [np.zeros((2, 2)), np.zeros((3, 2))]
+        (levels if table.startswith("level") else subspaces)[1][2, 1] = 1e39
+        cb = RqOpqCodebook(RqCodebook(levels, (2, 3), False), OpqCodebook(np.eye(4), subspaces))
+        path = tmp_path / "huge.cb"
+        with pytest.raises(ValueError, match=f"{table} row 2 holds a value beyond float32 range"):
+            save_codebook(cb, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_truncation_at_every_offset_names_path(self, saved, tmp_path):
         data = saved.read_bytes()
         cut = tmp_path / "cut.cb"

@@ -214,6 +214,28 @@ class TestMalformedLines:
         path.write_text(f"3\tpersonalization\t{PROMPT}\t1,2,0\n{line}\n")
         assert message in _raises_at(lambda p: read_stage3_codes(p, SCHEME), path, f"{path}:2")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("<T3> [BOS] ", "<T3> ", "bracketed by [BOS] ... [EOS]"),
+        ("0,1,2,3,0 1,1,1,1,1", "0,1,2,3,0", "exactly two code groups"),
+        ("[SEP] 0,1,1", "[SEP] 0,1,1 0,1,1", "exactly one SID"),
+        ("[SEP] i>", "[SEP] [SEP] i>", "empty segment between separators"),
+        ("i> 3,0,2", "x> 3,0,2", "unknown history segment tag 'x>'"),
+    ])
+    def test_stage3_codes_bad_prompt(self, tmp_path, old, new, message):
+        path = tmp_path / "stage3.tsv"
+        path.write_text(f"3\tpersonalization\t{PROMPT}\t1,2,0\n\n"
+                        f"3\tpersonalization\t{PROMPT.replace(old, new)}\t1,2,0\n")
+        assert message in _raises_at(lambda p: read_stage3_codes(p, SCHEME), path, f"{path}:3")
+
+    @pytest.mark.parametrize("user", ["1,2,3 1,2,3,3,2,1,0", "1,2,3,3,2,1,0 1,2,3"])
+    def test_fit_scorer_user_id_not_five_plus_five_digits(self, tmp_path, user):
+        path = tmp_path / "stage3.tsv"
+        path.write_text(f"3\tpersonalization\t{PROMPT.replace('0,1,2,3,0 1,1,1,1,1', user)}"
+                        "\t1,2,0\n")
+        read = _cli_reader(tmp_path, lambda p, out: [
+            "fit-scorer", "--records", p, "--levels", "4,4", "--opq", "1x3", "--out", out])
+        assert "10 digits (5 short + 5 long)" in _raises_at(read, path, f"{path}:1")
+
     def test_fit_scorer_without_stage3_records_names_the_path(self, tmp_path):
         path = tmp_path / "stage1.tsv"
         path.write_text("1\ttext_to_sid\t<T1a> red\t1,2,0\n")
@@ -317,6 +339,42 @@ class TestMalformedLines:
         path = tmp_path / "lists.jsonl"
         path.write_text("[1, 2]\n")
         assert "JSON object" in _raises_at(read_preference_lists, path, f"{path}:1")
+
+
+# spellings that int() reads as a digit but Sid.render never writes
+NON_CANONICAL = ["01", "+1", " 1", "1 ", "1_0", "\u0663"]
+WIDE = SidScheme((16, 16), (16,))
+
+
+class TestOneSidSpelling:
+    """A SID reads only as ``Sid.render`` writes it, wherever it appears."""
+
+    @pytest.mark.parametrize("digit", NON_CANONICAL)
+    def test_sid_file(self, tmp_path, digit):
+        path = tmp_path / "items.sids"
+        path.write_text(f"i1\t1,2,1\ni2\t1,2,{digit}\n", encoding="utf-8")
+        assert "canonical" in _raises_at(lambda p: read_sid_file(p, WIDE), path, f"{path}:2")
+
+    @pytest.mark.parametrize("digit", NON_CANONICAL)
+    def test_eval_case_context(self, tmp_path, digit):
+        path = tmp_path / "cases.jsonl"
+        path.write_text("".join(json.dumps({"context": context, "truth": ["i1"]}) + "\n"
+                                for context in ("1,2,1", f"1,2,{digit}")), encoding="utf-8")
+        assert "canonical" in _raises_at(lambda p: cli._read_cases(p, WIDE), path, f"{path}:2")
+
+    @pytest.mark.parametrize("digit", [d for d in NON_CANONICAL if d.strip() == d])
+    def test_stage3_prompt(self, tmp_path, digit):
+        path = tmp_path / "stage3.tsv"
+        path.write_text(f"3\tpersonalization\t{PROMPT}\t1,2,0\n"
+                        f"3\tpersonalization\t{PROMPT.replace('0,1,1', f'0,1,{digit}')}\t1,2,0\n",
+                        encoding="utf-8")
+        assert "canonical" in _raises_at(lambda p: read_stage3_codes(p, WIDE), path, f"{path}:2")
+
+    def test_canonical_spelling_reads(self, tmp_path):
+        path = tmp_path / "items.sids"
+        path.write_text("i1\t1,2,1\ni2\t1,2,10\ni3\t1,2,3\n")
+        assert [sid.render() for sid in read_sid_file(path, WIDE).sids()] == [
+            "1,2,1", "1,2,10", "1,2,3"]
 
 
 class TestCatalogFile:

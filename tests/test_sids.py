@@ -32,6 +32,15 @@ class TestSidScheme:
                 scheme.parse(text)
         assert text not in scheme._parsed
 
+    @pytest.mark.parametrize("text", ["01,2,3", "+1,2,3", " 1,2,3", "1,2,3 ", "1,2,1_0",
+                                      "\u0663,2,3", "-0,2,3"])
+    def test_only_the_rendered_spelling_parses(self, text):
+        scheme = SidScheme((16, 16, 16))
+        with pytest.raises(ValueError, match="canonical"):
+            scheme.parse(text)
+        assert text not in scheme._parsed
+        assert scheme.parse("1,2,3").render() == "1,2,3"
+
     def test_memo_hit_equals_fresh_parse(self):
         scheme = SidScheme((10, 10, 10), (5, 5))
         first = scheme.parse("1,2,3,4,0")
