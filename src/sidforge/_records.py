@@ -1,13 +1,14 @@
-"""The one reader and the one writer behind every text file. A bad record
-raises ``ValueError("<path>:<line>: ...")``; a bad file ``ValueError("<path>: ...")``."""
+"""The one reader and the one writer behind every file. A bad record raises
+``ValueError("<path>:<line>: ...")``; a bad file ``ValueError("<path>: ...")``."""
 
 from __future__ import annotations
 
 import contextlib
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import IO, Any, Callable, Iterable, Iterator
 
 
 def _error(where: object, exc: Exception) -> ValueError:
@@ -75,17 +76,34 @@ def read_json(path: str | Path, parse: Callable[[dict], Any]) -> Any:
         raise _error(path, exc) from None
 
 
+@contextlib.contextmanager
+def replacing(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A new file that replaces ``path``, symlinks resolved, only when the block
+    exits normally: it is written beside it as ``.<name>.<pid>.tmp`` and renamed
+    over it, so a failed or killed write leaves the previous file or none. An
+    existing ``path`` that is not a regular file raises ``ValueError``."""
+    target = Path(path).resolve()
+    if target.exists() and not target.is_file():
+        raise ValueError(f"{path}: not a regular file")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as f:
+            yield f
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = False) -> None:
-    """Each row as one UTF-8 line ending in a newline, to standard output when
-    ``path`` is None: a TSV row tab-joins its string fields, a JSONL row is an
-    object dumped with sorted keys and no spaces. A field holding a tab, CR or
-    LF, or a ``ValueError``, ``TypeError`` or ``KeyError`` from making or
-    writing a row, raises ``ValueError("<path>:<record>: ...")``; any other
-    exception, ``KeyboardInterrupt`` included, propagates unchanged. Either
-    way the file is removed first, so a failed write never looks finished."""
+    """Each row as one UTF-8 line ending in a newline, through :func:`replacing`,
+    or to standard output when ``path`` is None: a TSV row tab-joins its string
+    fields, a JSONL row is an object dumped with sorted keys and no spaces. A
+    field holding a tab, CR or LF, or a ``ValueError``, ``TypeError`` or
+    ``KeyError`` from making or writing a row, raises
+    ``ValueError("<path>:<record>: ...")``; any other exception,
+    ``KeyboardInterrupt`` included, propagates unchanged."""
     record = 1
-    with (contextlib.nullcontext(sys.stdout) if path is None
-          else open(path, "w", encoding="utf-8")) as f:
+    with contextlib.nullcontext(sys.stdout) if path is None else replacing(path) as f:
         try:
             for row in rows:
                 if jsonl:
@@ -96,10 +114,5 @@ def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = Fals
                         raise ValueError(f"a field holds a tab, CR or LF: {row!r}")
                 f.write(line + "\n")
                 record += 1
-        except BaseException as exc:
-            if path is not None:
-                f.close()
-                Path(path).unlink()
-            if isinstance(exc, (ValueError, TypeError, KeyError)):
-                raise _error(f"{'<stdout>' if path is None else path}:{record}", exc) from None
-            raise
+        except (ValueError, TypeError, KeyError) as exc:
+            raise _error(f"{'<stdout>' if path is None else path}:{record}", exc) from None

@@ -253,8 +253,8 @@ def read_stage3_codes(path: str | Path, scheme: SidScheme) -> np.ndarray:
     """The ``(query first digit, target digits...)`` row of each stage-3
     record in a record file, as an ``(n, 1 + L)`` int array.
 
-    Every line is checked as a record and every stage-3 prompt is parsed
-    in full; lines of other stages are skipped.
+    Every line is checked as a record; a stage-3 one must hold a whole
+    ``<T3>`` personalization prompt and one target SID. Other stages are skipped.
     """
 
     def codes(stage: str, tag: str, inputs: str, targets: str) -> tuple[int, ...] | None:
@@ -262,12 +262,13 @@ def read_stage3_codes(path: str | Path, scheme: SidScheme) -> np.ndarray:
         if int(stage) != 3:
             return None
         tokens = inputs.split(" ")
-        if tokens[0].startswith("<T"):
-            tokens = tokens[1:]
+        if tag != "personalization" or tokens[0] != TASK_TAGS[tag] or " " in targets:
+            raise ValueError("stage 3 needs a personalization <T3> prompt and one target SID")
+        tokens = tokens[1:]
         if tokens and tokens[-1].startswith(AGGREGATE_PREFIX):
             tokens = tokens[:-1]
         query = parse_prompt(tokens, scheme).query_sid
-        return (query.rq[0], *scheme.parse(targets.split(" ")[0]).digits)
+        return (query.rq[0], *scheme.parse(targets).digits)
 
     rows = [row for row in read_records(path, codes, fields=4) if row is not None]
     return np.array(rows, dtype=np.int64).reshape(len(rows), 1 + scheme.length)

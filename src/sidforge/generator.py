@@ -9,7 +9,6 @@ code digit and the previous target digit, so no neural decoder is needed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from ._records import read_json
+from ._records import read_json, write_records
 from .identity import parse_prompt
 from .reward import rscore
 from .sids import Sid, SidCatalog, SidScheme
@@ -195,9 +194,7 @@ class CooccurrenceScorer:
                 for digit, count in slot.items()
             },
         }
-        Path(path).write_text(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", encoding="utf-8"
-        )
+        write_records(path, [payload], jsonl=True)
 
     @classmethod
     def load(cls, path: str | Path) -> "CooccurrenceScorer":

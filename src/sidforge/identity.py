@@ -265,8 +265,13 @@ def parse_prompt(tokens: Sequence[str], scheme: SidScheme) -> ParsedPrompt:
     user_seg = segments[0]
     if len(user_seg) != 2:
         raise ValueError("user segment must hold exactly two code groups")
-    short_part = tuple(map(int, user_seg[0].split(",")))
-    long_part = tuple(map(int, user_seg[1].split(",")))
+    if scheme.length == 5:  # user_parts clips each group to the scheme, so it reads as a SID
+        short_part, long_part = (scheme.parse(group).digits for group in user_seg)
+    else:
+        short_part, long_part = (tuple(map(int, group.split(","))) for group in user_seg)
+        for group, part in zip(user_seg, (short_part, long_part)):
+            if ",".join(map(str, part)) != group or "-" in group:
+                raise ValueError(f"user id group {group!r} is not in canonical form")
     query_text = " ".join(segments[1])
     if len(segments[2]) != 1:
         raise ValueError("query-sid segment must hold exactly one SID")

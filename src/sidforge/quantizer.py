@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ._records import read_json
+from ._records import read_json, replacing
 from .embedding import Catalog, float32_rows, float_rows
 from .kmeans import BoundedNearest, balanced_kmeans_fit, kmeans_fit, lloyd, nearest
 from .sids import Sid, SidScheme
@@ -318,17 +318,15 @@ def save_codebook(codebook: RqOpqCodebook, path: str | Path) -> None:
     tables = [float32_rows(t, f"level {l + 1} table") for l, t in enumerate(codebook.rq.levels)]
     tables.append(float32_rows(codebook.opq.rotation, "rotation"))
     tables += [float32_rows(t, f"subspace {s} table") for s, t in enumerate(codebook.opq.subspaces)]
-    with open(path, "wb") as f:
+    with replacing(path, binary=True) as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", _VERSION))
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
         for table in tables:
             f.write(table.tobytes())
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(
-        json.dumps(codebook.build_metadata, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    with replacing(path.with_name(path.name + ".meta.json")) as f:
+        f.write(json.dumps(codebook.build_metadata, sort_keys=True, indent=2) + "\n")
 
 
 def load_codebook(path: str | Path) -> RqOpqCodebook:

@@ -44,6 +44,9 @@ SCHEME = SidScheme((4, 4), (3,))
 ITEM_SIDS = {"i1": SCHEME.parse("1,2,0"), "i2": SCHEME.parse("3,0,2")}
 QUERY_SIDS = {"q1": SCHEME.parse("0,1,1")}
 PROMPT = "<T3> [BOS] 0,1,2,3,0 1,1,1,1,1 [SEP] red [SEP] 0,1,1 [SEP] i> 3,0,2 [EOS]"
+# a stage-3 record under a (4, 4, 4)+(3, 3) scheme, whose user ids are range-checked
+PROMPT5 = "<T3> [BOS] 3,3,3,2,2 0,1,1,1,0 [SEP] red [SEP] 0,1,1,0,2 [SEP] i> 3,0,2,1,1 [EOS]"
+STAGE3_SHAPE = "stage 3 needs a personalization <T3> prompt and one target SID"
 VEC = base64.b64encode(np.array([1.0, -2.0], dtype="<f4").tobytes()).decode("ascii")
 
 
@@ -208,6 +211,13 @@ class TestMalformedLines:
         (f"3\tpersonalization\t{PROMPT}\t1,2,3", "code 3 at position 2"),
         (f"3\tpersonalization\t{PROMPT.replace('0,1,1', '0,1')}\t1,2,0", "expected 3 digits"),
         (f"3\tpersonalization\t{PROMPT.replace('3,0,2', '3,0,x')}\t1,2,0", "invalid literal"),
+        (f"3\tquery_to_item\t{PROMPT}\t1,2,0", STAGE3_SHAPE),
+        (f"3\tpersonalization\t{PROMPT.replace('<T3>', '<T1a>')}\t1,2,0", STAGE3_SHAPE),
+        (f"3\tpersonalization\t{PROMPT.replace('<T3> ', '')}\t1,2,0", STAGE3_SHAPE),
+        (f"3\tpersonalization\t{PROMPT.replace('<T3>', '<T3x>')}\t1,2,0", STAGE3_SHAPE),
+        (f"3\tpersonalization\t{PROMPT.replace('<T3>', '<T1a>')}\t1,2,0 junk extra",
+         STAGE3_SHAPE),
+        (f"3\tpersonalization\t{PROMPT}\t1,2,0 1,2,0", STAGE3_SHAPE),
     ])
     def test_stage3_codes_bad_record(self, tmp_path, line, message):
         path = tmp_path / "stage3.tsv"
@@ -235,6 +245,39 @@ class TestMalformedLines:
         read = _cli_reader(tmp_path, lambda p, out: [
             "fit-scorer", "--records", p, "--levels", "4,4", "--opq", "1x3", "--out", out])
         assert "10 digits (5 short + 5 long)" in _raises_at(read, path, f"{path}:1")
+
+    @pytest.mark.parametrize("scheme, line, message", [
+        (("4,4", "1x3"), PROMPT.replace("0,1,2,3,0", "01,+1,2,3,0"),
+         "user id group '01,+1,2,3,0' is not in canonical form"),
+        (("4,4", "1x3"), PROMPT.replace("1,1,1,1,1", "1,1,-1,1,1"),
+         "user id group '1,1,-1,1,1' is not in canonical form"),
+        (("4,4", "1x3"), PROMPT.replace("1,1,1,1,1", "1,1,1,1,-0"),
+         "user id group '1,1,1,1,-0' is not in canonical form"),
+        (("4,4,4", "2x3"), PROMPT5.replace("0,1,1,1,0", "99,1,1,1,1"),
+         "code 99 at position 0 outside [0, 4)"),
+        (("4,4,4", "2x3"), PROMPT5.replace("3,3,3,2,2", "3,3,3,3,2"),
+         "code 3 at position 3 outside [0, 3)"),
+        (("4,4,4", "2x3"), PROMPT5.replace("3,3,3,2,2", "3,03,3,2,2"),
+         "SID '3,03,3,2,2' is not in canonical form '3,3,3,2,2'"),
+    ], ids=["leading_zero_and_sign", "negative", "negative_zero", "long_part_out_of_range",
+            "short_part_out_of_range", "leading_zero_under_five_positions"])
+    def test_fit_scorer_user_id_spelled_and_in_range(self, tmp_path, scheme, line, message):
+        path = tmp_path / "stage3.tsv"
+        valid, target = (PROMPT, "1,2,0") if scheme[0] == "4,4" else (PROMPT5, "1,2,0,0,1")
+        path.write_text(f"3\tpersonalization\t{valid}\t{target}\n"
+                        f"3\tpersonalization\t{line}\t{target}\n")
+        read = _cli_reader(tmp_path, lambda p, out: [
+            "fit-scorer", "--records", p, "--levels", scheme[0], "--opq", scheme[1], "--out", out])
+        assert message in _raises_at(read, path, f"{path}:2")
+
+    def test_fit_scorer_reads_in_range_user_ids_of_a_five_position_scheme(self, tmp_path):
+        path = tmp_path / "stage3.tsv"
+        path.write_text(f"3\tpersonalization\t{PROMPT5}\t1,2,0,0,1\n")
+        out = tmp_path / "scorer.json"
+        assert cli.main(["fit-scorer", "--records", str(path), "--levels", "4,4,4",
+                         "--opq", "2x3", "--out", str(out)]) == 0
+        codes = read_stage3_codes(path, SidScheme((4, 4, 4), (3, 3)))
+        assert codes.tolist() == [[0, 1, 2, 0, 0, 1]]
 
     def test_fit_scorer_without_stage3_records_names_the_path(self, tmp_path):
         path = tmp_path / "stage1.tsv"
