@@ -148,7 +148,10 @@ def cmd_encode_user(args) -> None:
         entries = read_sid_sequence(path, scheme)
         if not entries:
             return None
-        return BehaviorSequence(tuple(sid for _, sid in entries), kind)
+        try:
+            return BehaviorSequence(tuple(sid for _, sid in entries), kind)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     short = read_seq(args.short, "short_click")
     long_click = read_seq(args.long, "long_click")

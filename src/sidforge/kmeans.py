@@ -143,9 +143,9 @@ class BoundedNearest:
     true one, several times less than E. A skipped point's true distances
     differ by more than 2E, which no rounding within E reorders. A computed
     row is taken only when its second-smallest distance exceeds the smallest
-    by more than 2E; any other is a near-tie, relabelled from the block that
-    ``nearest`` itself computes it in. The rounding of the bounds themselves
-    is orders of magnitude below the margin.
+    by more than 2E; any other is a near-tie, relabelled by ``nearest``
+    itself. The rounding of the bounds themselves is orders of magnitude
+    below the margin.
 
     The bounds hold while the same ``points`` object comes back; another one
     (or ``restart``) starts over with every point. ``full_rows`` counts the
@@ -203,7 +203,7 @@ class BoundedNearest:
     def _settle(self, points: np.ndarray, centroids: np.ndarray, doubt: np.ndarray,
                 table_sq: np.ndarray, err: float) -> None:
         """Labels and fresh bounds for the points in ``doubt`` from all their
-        distances; near-ties take their label from the blocks of ``nearest``."""
+        distances; near-ties take their label from ``nearest`` itself."""
         labels, upper, lower = self._labels, self._upper, self._lower
         k = centroids.shape[0]
         neg2_table = -2.0 * centroids
@@ -227,14 +227,7 @@ class BoundedNearest:
             return
         self.tie_rows += tie.size
         lower[tie] = 0.0                              # a near-tie stays in doubt
-        neg2_table_t = neg2_table.T
-        edges = _chunk_edges(points.shape[0], k)
-        chunk_of = np.searchsorted(edges, tie, side="right") - 1
-        for c in np.unique(chunk_of).tolist():
-            lo, hi = edges[c], edges[c + 1]
-            j, _ = _block_nearest(_dist_block(points[lo:hi], neg2_table_t, table_sq))
-            mine = tie[chunk_of == c]
-            labels[mine] = j[mine - lo]
+        labels[tie] = nearest(points, centroids)[0][tie]
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -277,16 +270,10 @@ def _repair_empty(assign: np.ndarray, assigned_d: np.ndarray, k: int) -> np.ndar
     """
     counts = np.bincount(assign, minlength=k)
     for j in np.flatnonzero(counts == 0):
-        donor = int(np.argmax(assigned_d))
-        if counts[assign[donor]] <= 1:
-            # do not empty another cluster; fall back to the next-farthest point
-            order = np.argsort(-assigned_d, kind="stable")
-            for cand in order:
-                if counts[assign[cand]] > 1:
-                    donor = int(cand)
-                    break
-            else:
-                break  # fewer distinct points than clusters; leave j empty
+        spare = counts[assign] > 1                    # never empty another cluster
+        if not spare.any():
+            break  # fewer distinct points than clusters; leave j empty
+        donor = int(np.argmax(np.where(spare, assigned_d, -np.inf)))
         counts[assign[donor]] -= 1
         assign[donor] = j
         counts[j] = 1

@@ -9,6 +9,7 @@ nearest-centroid descent and is pure given a frozen codebook.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -303,11 +304,9 @@ def reconstruct(sid: Sid, codebook: RqOpqCodebook) -> np.ndarray:
     return vec + np.concatenate(parts) @ codebook.opq.rotation.T
 
 
-def save_codebook(codebook: RqOpqCodebook, path: str | Path) -> None:
+def _codebook_bytes(codebook: RqOpqCodebook) -> bytes:
     """Versioned binary: magic, JSON config block, then f32 tables in order
-    (hierarchy levels, rotation, subspace tables). Metadata goes to a JSON
-    sidecar at ``<path>.meta.json``."""
-    path = Path(path)
+    (hierarchy levels, rotation, subspace tables)."""
     config = {
         "dim": codebook.dim,
         "level_sizes": list(codebook.rq.level_sizes),
@@ -318,22 +317,27 @@ def save_codebook(codebook: RqOpqCodebook, path: str | Path) -> None:
     tables = [float32_rows(t, f"level {l + 1} table") for l, t in enumerate(codebook.rq.levels)]
     tables.append(float32_rows(codebook.opq.rotation, "rotation"))
     tables += [float32_rows(t, f"subspace {s} table") for s, t in enumerate(codebook.opq.subspaces)]
+    return b"".join([_MAGIC, struct.pack("<II", _VERSION, len(blob)), blob,
+                     *(table.tobytes() for table in tables)])
+
+
+def save_codebook(codebook: RqOpqCodebook, path: str | Path) -> None:
+    """``_codebook_bytes`` at ``path``; the metadata plus the sha256 of those
+    bytes (``codebook_sha256``) in a JSON sidecar at ``<path>.meta.json``."""
+    path = Path(path)
+    data = _codebook_bytes(codebook)
     with replacing(path, binary=True) as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for table in tables:
-            f.write(table.tobytes())
+        f.write(data)
+    meta = {**codebook.build_metadata, "codebook_sha256": hashlib.sha256(data).hexdigest()}
     with replacing(path.with_name(path.name + ".meta.json")) as f:
-        f.write(json.dumps(codebook.build_metadata, sort_keys=True, indent=2) + "\n")
+        f.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
 
 
 def load_codebook(path: str | Path) -> RqOpqCodebook:
     """Read a codebook written by ``save_codebook``.
 
     A truncated, malformed or inconsistent file raises ``ValueError`` naming
-    the path.
+    the path; a sidecar not bound to it by ``codebook_sha256``, one naming both.
     """
     path = Path(path)
     with open(path, "rb") as f:
@@ -379,6 +383,11 @@ def load_codebook(path: str | Path) -> RqOpqCodebook:
         opq = OpqCodebook(rotation, subspaces)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    codebook = RqOpqCodebook(rq, opq)
     meta_path = path.with_name(path.name + ".meta.json")
-    meta = read_json(meta_path, dict) if meta_path.exists() else {}
-    return RqOpqCodebook(rq, opq, meta)
+    if meta_path.exists():
+        codebook.build_metadata = read_json(meta_path, dict)
+        digest = hashlib.sha256(_codebook_bytes(codebook)).hexdigest()
+        if codebook.build_metadata.pop("codebook_sha256", None) != digest:
+            raise ValueError(f"{meta_path}: codebook_sha256 missing or not that of {path}")
+    return codebook

@@ -58,9 +58,11 @@ def drift_report(
 ) -> list[DriftStep]:
     """Encode each arriving batch against the frozen codebook and track
     cumulative ICR plus the share of batch items whose code was already
-    occupied before the batch arrived."""
+    occupied before the batch arrived; the baseline must have the codebook's scheme."""
     if not batches:
         raise ValueError("need at least one arriving batch")
+    if baseline.scheme != codebook.scheme:
+        raise ValueError(f"baseline {baseline.scheme} is not the codebook's {codebook.scheme}")
 
     def key(sid: Sid):
         return sid.digits if use_opq else sid.rq
@@ -70,10 +72,9 @@ def drift_report(
     steps: list[DriftStep] = []
     for b, batch in enumerate(batches):
         sids = encode_batch(float_rows(batch, f"batch {b}", codebook.dim), codebook)
-        occupied_before = set(counts)
-        hits = sum(1 for sid in sids if key(sid) in occupied_before)
-        for sid in sids:
-            counts[key(sid)] += 1
+        keys = [key(sid) for sid in sids]
+        hits = sum(1 for k in keys if k in counts)      # codes taken before the batch
+        counts.update(keys)
         total += len(sids)
         unique = sum(c for c in counts.values() if c == 1)
         steps.append(DriftStep(

@@ -190,6 +190,20 @@ class TestEncodeUser:
                                    "order.L1", "order.L2", "order.L3",
                                    "rsu.L1", "rsu.L2", "rsu.L3"]
 
+    @pytest.mark.parametrize("flag, kind, limit", [("--short", "short_click", 500),
+                                                   ("--long", "long_click", 5000)])
+    def test_over_long_sequence_names_the_file(self, workspace, tmp_path, flag, kind, limit):
+        line = (workspace / "items.sids").read_text().splitlines()[0]
+        seq, other = tmp_path / "seq.sids", tmp_path / "other.sids"
+        seq.write_text(f"{line}\n" * (limit + 1))
+        other.write_text(f"{line}\n")
+        args = {"--short": other, "--long": other, flag: seq}
+        with pytest.raises(ValueError, match=f"^{seq}: {kind} sequence exceeds {limit} items$"):
+            main(["encode-user", "--codebook", str(workspace / "cb.bin"),
+                  "--short", str(args["--short"]), "--long", str(args["--long"]),
+                  "--out", str(tmp_path / "user.tsv")])
+        assert not (tmp_path / "user.tsv").exists()
+
     def test_cold_start_defaults(self, workspace):
         stats = workspace / "stats.tsv"
         sid_lines = (workspace / "items.sids").read_text().splitlines()

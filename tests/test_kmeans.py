@@ -174,6 +174,71 @@ class TestLloyd:
         assert cold[2, 0] < 1e6
 
 
+def reference_repair_empty(assign, assigned_d, k):
+    """Reference donor search: the global argmax, then a scan in stable
+    descending order when that point's cluster has no member to spare."""
+    counts = np.bincount(assign, minlength=k)
+    for j in np.flatnonzero(counts == 0):
+        donor = int(np.argmax(assigned_d))
+        if counts[assign[donor]] <= 1:
+            order = np.argsort(-assigned_d, kind="stable")
+            for cand in order:
+                if counts[assign[cand]] > 1:
+                    donor = int(cand)
+                    break
+            else:
+                break
+        counts[assign[donor]] -= 1
+        assign[donor] = j
+        counts[j] = 1
+        assigned_d[donor] = 0.0
+    return assign
+
+
+def assert_same_repair(assign, assigned_d, k):
+    assign, assigned_d = np.asarray(assign, dtype=np.int64), np.asarray(assigned_d, dtype=float)
+    got_a, got_d = assign.copy(), assigned_d.copy()
+    ref_a, ref_d = assign.copy(), assigned_d.copy()
+    assert np.array_equal(_repair_empty(got_a, got_d, k), reference_repair_empty(ref_a, ref_d, k))
+    assert np.array_equal(got_a, ref_a)
+    assert np.array_equal(got_d, ref_d)
+    return got_a
+
+
+class TestRepairEmpty:
+    def test_several_empty_clusters_take_the_farthest_points(self):
+        got = assert_same_repair([0, 0, 0, 1, 1, 1], [0.1, 0.9, 0.2, 0.7, 0.3, 0.8], 5)
+        assert got.tolist() == [0, 2, 0, 4, 1, 3]
+
+    def test_singleton_cluster_keeps_its_point(self):
+        # the farthest points sit alone in clusters 0 and 1
+        got = assert_same_repair([0, 1, 2, 2, 2], [9.0, 8.0, 1.0, 3.0, 2.0], 5)
+        assert got.tolist() == [0, 1, 2, 3, 4]
+
+    def test_tied_distances_go_to_the_lowest_index(self):
+        got = assert_same_repair([2, 0, 1, 1, 1, 0], [5.0, 5.0, 5.0, 5.0, 1.0, 5.0], 4)
+        assert got.tolist() == [2, 3, 1, 1, 1, 0]
+        assert_same_repair([0, 0, 0, 0], [0.0, 0.0, 0.0, 0.0], 3)
+
+    def test_more_empty_clusters_than_spare_points(self):
+        got = assert_same_repair([0, 0, 1], [1.0, 2.0, 3.0], 5)
+        assert got.tolist() == [0, 2, 1]
+        assert np.bincount(got, minlength=5).tolist() == [1, 1, 1, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        k=st.integers(min_value=1, max_value=12),
+        levels=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_matches_the_reference(self, n, k, levels, seed):
+        # few distance levels make many ties; few used clusters make singletons
+        rng = np.random.default_rng(seed)
+        used = rng.integers(1, k + 1)
+        assert_same_repair(rng.integers(used, size=n), rng.integers(levels, size=n) / 2.0, k)
+
+
 def plain_step(points, centroids):
     return nearest(points, centroids)[0]
 
@@ -452,6 +517,15 @@ class TestKmeansFit:
         for k in (2, 3):
             with pytest.raises(ValueError, match="point row 7 holds a non-finite value"):
                 fit(points, k)
+
+    @pytest.mark.parametrize("fit, n, k", [(kmeans_fit, 40, 4), (balanced_kmeans_fit, 40, 3),
+                                           (balanced_kmeans_fit, 8, 2)])
+    def test_one_dimensional_points_are_one_column(self, fit, n, k):
+        x = np.random.default_rng(7).normal(size=n)
+        flat, column = fit(x, k, seed=2), fit(x[:, None], k, seed=2)
+        assert np.array_equal(flat.centroids, column.centroids)
+        assert np.array_equal(flat.assignments, column.assignments)
+        assert flat.sse_per_iter == column.sse_per_iter
 
     def test_k_exceeding_points_keeps_running(self):
         pts = np.array([[0.0], [1.0]])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import struct
@@ -339,6 +340,33 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
         assert loaded.scheme == cb.scheme
         assert loaded.build_metadata == cb.build_metadata
+
+    def test_sidecar_records_the_codebook_sha256(self, tmp_path):
+        rng = np.random.default_rng(10)
+        cb = fit_codebook(rng.normal(size=(40, 4)), (4, 2), opq_subspaces=2, opq_codes=2, seed=3)
+        path = tmp_path / "a.cb"
+        save_codebook(cb, path)
+        meta = json.loads((tmp_path / "a.cb.meta.json").read_text())
+        assert meta.pop("codebook_sha256") == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert meta == json.loads(json.dumps(cb.build_metadata))
+
+    def test_swapped_sidecar_names_both_paths(self, tmp_path):
+        rng = np.random.default_rng(10)
+        vecs = rng.normal(size=(40, 4))
+        a, b = tmp_path / "a.cb", tmp_path / "b.cb"
+        for path, seed in ((a, 3), (b, 4)):
+            save_codebook(fit_codebook(vecs, (4, 2), opq_subspaces=2, opq_codes=2, seed=seed), path)
+        sidecar = tmp_path / "b.cb.meta.json"
+        sidecar.write_bytes((tmp_path / "a.cb.meta.json").read_bytes())
+        with pytest.raises(ValueError, match=f"{sidecar}: .*{b}"):
+            load_codebook(b)
+        meta = json.loads(sidecar.read_text())
+        del meta["codebook_sha256"]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{sidecar}: .*{b}"):
+            load_codebook(b)
+        sidecar.unlink()
+        assert load_codebook(b).build_metadata == {}
 
     def test_loaded_codebook_encodes_consistently(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -131,6 +132,14 @@ class TestDriftReport:
             drift_report(cb, baseline, [np.zeros((0, 4))])
         with pytest.raises(ValueError):
             drift_report(cb, baseline, [])
+
+    def test_baseline_of_another_scheme_rejected(self, fitted):
+        cb, baseline, vecs = fitted
+        hierarchy_only = SidCatalog({i: Sid(s.rq) for i, s in baseline.entries.items()},
+                                    SidScheme(cb.scheme.rq_sizes))
+        with pytest.raises(ValueError, match=re.escape(
+                f"baseline {hierarchy_only.scheme} is not the codebook's {cb.scheme}")):
+            drift_report(cb, hierarchy_only, [vecs[:10]])
 
     def test_dimension_mismatch_rejected(self, fitted):
         cb, baseline, _ = fitted
