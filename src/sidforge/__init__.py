@@ -15,6 +15,7 @@ from .embedding import (
     PairRecord,
     compose_enhanced,
     cosine_filter,
+    enhance_catalog,
     match_keywords,
 )
 from .sids import Sid, SidCatalog, SidScheme

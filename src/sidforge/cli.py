@@ -19,9 +19,8 @@ from . import reward as rw
 from ._records import id_list, read_json, read_records, write_records
 from .embedding import (
     Catalog,
-    KeywordSet,
-    compose_enhanced,
     cosine_filter,
+    enhance_catalog,
     load_catalog,
     read_pairs,
     save_catalog,
@@ -60,17 +59,12 @@ def _scheme_from_args(args) -> SidScheme:
 
 def cmd_enhance(args) -> None:
     catalog = load_catalog(args.catalog)
-    kw_catalog = load_catalog(args.keywords)
-    by_owner: dict[str, list] = {}
-    for emb in kw_catalog:
-        owner = emb.id.split("#", 1)[0]
-        by_owner.setdefault(owner, []).append(emb)
-    out_rows = []
-    for emb in catalog:
-        kws = KeywordSet(emb.id, tuple(by_owner.get(emb.id, ())))
-        out_rows.append(compose_enhanced(emb, kws))
-    save_catalog(Catalog([e.id for e in out_rows], np.stack([e.vector for e in out_rows])),
-                 args.out)
+    keywords = load_catalog(args.keywords)
+    try:
+        enhanced = enhance_catalog(catalog, keywords)
+    except ValueError as exc:  # a dim mismatch: the keyword file does not fit the catalog
+        raise ValueError(f"{args.keywords}: {exc}") from None
+    save_catalog(enhanced, args.out)
 
 
 def cmd_filter_pairs(args) -> None:
@@ -285,8 +279,11 @@ def cmd_curriculum(args) -> None:
         item_sids = read_sid_file(args.sids, scheme).entries
         query_sids = read_sid_file(args.query_sids, scheme).entries
         sessions = _read_sessions(args.sessions, item_sids, query_sids)
-        records, stats = curr.build_stage3(sessions, codebook, max_window=args.max_window)
-    curr.write_task_records(records, args.out)
+        records, stats = curr.stage3_rows(sessions, codebook, max_window=args.max_window)
+    if args.stage == 3:  # text rows, as write_task_records would write them
+        write_records(args.out, records)
+    else:
+        curr.write_task_records(records, args.out)
     sys.stdout.write(f"records={len(records)} skipped={stats.skipped}\n")
 
 

@@ -15,7 +15,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from ._records import read_records, write_records
-from .identity import BehaviorSequence, UserSid, parse_prompt, prompt_windows, user_parts
+from .identity import (
+    MAX_SEQUENCE_LENGTH,
+    check_user_parts,
+    prompt_fields,
+    prompt_head,
+    prompt_text,
+    user_parts,
+)
 from .quantizer import RqOpqCodebook
 from .sids import Sid, SidScheme
 
@@ -122,14 +129,18 @@ def build_stage2(
     return records, stats
 
 
+def _check_window(max_window: int) -> None:
+    if max_window < 1:
+        raise ValueError(f"max_window must be >= 1, got {max_window}")
+
+
 def sliding_window(seq: Sequence, max_window: int = DEFAULT_MAX_WINDOW) -> list[tuple[list, object]]:
     """(window, target) pairs, one per position; the first has no window.
 
     The window holds the min(t-1, max_window) items preceding target t, so
     output length always equals input length.
     """
-    if max_window < 1:
-        raise ValueError(f"max_window must be >= 1, got {max_window}")
+    _check_window(max_window)
     out: list[tuple[list, object]] = []
     for t in range(1, len(seq) + 1):
         width = min(t - 1, max_window)
@@ -157,7 +168,20 @@ def build_stage3(
     codebook: RqOpqCodebook,
     max_window: int = DEFAULT_MAX_WINDOW,
 ) -> tuple[list[TaskRecord], StageStats]:
-    """Personalization records with sliding-window expansion on short clicks.
+    """Personalization records with sliding-window expansion on short clicks:
+    the rows of :func:`stage3_rows` as :class:`TaskRecord` objects."""
+    rows, stats = stage3_rows(sessions, codebook, max_window)
+    return [TaskRecord(3, "personalization", tuple(inputs.split(" ")), (target,))
+            for _, _, inputs, target in rows], stats
+
+
+def stage3_rows(
+    sessions: Iterable[Session],
+    codebook: RqOpqCodebook,
+    max_window: int = DEFAULT_MAX_WINDOW,
+) -> tuple[list[tuple[str, str, str, str]], StageStats]:
+    """Stage-3 records as the ``(stage, task, input tokens, target)`` text rows
+    that :func:`write_task_records` writes, tokens joined by single spaces.
 
     A session with m short clicks yields m records whose targets walk the
     click sequence; an empty click history yields one cold record that
@@ -165,11 +189,12 @@ def build_stage3(
     the user id (falling back to the short side when absent), and an
     aggregate-file reference token rides along when the session names one.
     A session with an invalid click SID, or a sequence over its length
-    cap, is skipped; a codebook without 5-digit SIDs raises ``ValueError``.
+    cap, is skipped; a codebook without 5-digit SIDs, or an aggregate
+    reference holding whitespace, raises ``ValueError``.
 
     Each distinct SID is validated and rendered once per call, the user
     parts of all sessions come from one :func:`user_parts` call, and each
-    session's prompt head is built once for all of its windows.
+    session's prompt head is joined once for all of its windows.
     """
     scheme = codebook.scheme
     rendered: dict[Sid, str] = {}
@@ -201,10 +226,11 @@ def build_stage3(
         if not effective or effective[-1] != sess.clicked_sid:
             effective.append(sess.clicked_sid)
         long_items = sess.long_clicks or effective
+        if (len(effective) > MAX_SEQUENCE_LENGTH["short_click"]
+                or len(long_items) > MAX_SEQUENCE_LENGTH["long_click"]):
+            stats.skipped += 1
+            continue
         try:
-            # the sequences' length caps; their ValueError skips the session
-            BehaviorSequence(tuple(effective), "short_click")
-            BehaviorSequence(tuple(long_items), "long_click")
             short_rows = click_rows(effective)
             long_rows = click_rows(long_items) if sess.long_clicks else short_rows
         except ValueError:
@@ -214,19 +240,29 @@ def build_stage3(
         sequences += [short_rows, long_rows]
 
     table = np.array(digits, dtype=np.float64).reshape(len(digits), scheme.length)
-    parts = user_parts(sequences, table, scheme.sizes).tolist()
-    records: list[TaskRecord] = []
-    for (sess, effective), short_part, long_part in zip(kept, parts[0::2], parts[1::2]):
-        user = UserSid(tuple(short_part), tuple(long_part))
-        pairs = sliding_window([render(sid) for sid in effective], max_window)
-        prompts = prompt_windows(user, sess.query_text, render(sess.query_sid),
-                                 [render(sid) for sid in sess.recent_queries],
-                                 [window for window, _ in pairs])
-        agg = [] if sess.aggregate_ref is None else [f"{AGGREGATE_PREFIX}{sess.aggregate_ref}"]
-        for prompt, (_, target) in zip(prompts, pairs):
-            records.append(_rec(3, "personalization", prompt + agg, (target,)))
+    parts = user_parts(sequences, table, scheme.sizes)
+    if kept:  # a codebook without 5-digit SIDs fails here, as UserSid would
+        check_user_parts(parts[0], parts[1])
+        _check_window(max_window)
+    groups = [",".join(map(str, part)) for part in parts.tolist()]
+    out: list[tuple[str, str, str, str]] = []
+    for (sess, effective), short_group, long_group in zip(kept, groups[0::2], groups[1::2]):
+        head = f"{TASK_TAGS['personalization']} " + prompt_head(
+            (short_group, long_group), sess.query_text, render(sess.query_sid),
+            [render(sid) for sid in sess.recent_queries])
+        end = ""
+        if sess.aggregate_ref is not None:
+            token = f"{AGGREGATE_PREFIX}{sess.aggregate_ref}"
+            if token.split() != [token]:  # the written record would not read back
+                raise ValueError("aggregate_ref must be one token without whitespace, "
+                                 f"got {sess.aggregate_ref!r}")
+            end = f" {token}"
+        clicks = [render(sid) for sid in effective]
+        for t, target in enumerate(clicks):  # the first record has no window
+            window = " ".join(clicks[max(0, t - max_window):t])
+            out.append(("3", "personalization", prompt_text(head, window) + end, target))
         stats.emitted += 1
-    return records, stats
+    return out, stats
 
 
 def _token_field(tokens: tuple[str, ...]) -> str:
@@ -266,8 +302,8 @@ def read_stage3_codes(path: str | Path, scheme: SidScheme) -> np.ndarray:
             raise ValueError("stage 3 needs a personalization <T3> prompt and one target SID")
         tokens = tokens[1:]
         if tokens and tokens[-1].startswith(AGGREGATE_PREFIX):
-            tokens = tokens[:-1]
-        query = parse_prompt(tokens, scheme).query_sid
+            tokens.pop()
+        query = prompt_fields(tokens, scheme)[2]
         return (query.rq[0], *scheme.parse(targets).digits)
 
     rows = [row for row in read_records(path, codes, fields=4) if row is not None]

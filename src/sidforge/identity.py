@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ EOS = "[EOS]"
 SEP = "[SEP]"
 RECENT_QUERIES_TAG = "q>"
 SHORT_CLICKS_TAG = "i>"
+_HISTORY_TAGS = (RECENT_QUERIES_TAG, SHORT_CLICKS_TAG)
 _RESERVED = (BOS, EOS, SEP, RECENT_QUERIES_TAG, SHORT_CLICKS_TAG)
 
 SEQUENCE_KINDS = ("short_click", "long_click", "long_order", "long_rsu")
@@ -68,8 +69,12 @@ class UserSid:
         return self.short_part + self.long_part
 
     def __post_init__(self) -> None:
-        if (len(self.short_part), len(self.long_part)) != (5, 5):
-            raise ValueError("user id must have 10 digits (5 short + 5 long)")
+        check_user_parts(self.short_part, self.long_part)
+
+
+def check_user_parts(short_part: Sequence[int], long_part: Sequence[int]) -> None:
+    if (len(short_part), len(long_part)) != (5, 5):
+        raise ValueError("user id must have 10 digits (5 short + 5 long)")
 
 
 @functools.lru_cache(maxsize=MAX_WEIGHTED_LENGTH)
@@ -197,11 +202,11 @@ def assemble_prompt(
     recent_queries: Sequence[Sid] = (),
     short_clicks: Sequence[Sid] = (),
 ) -> list[str]:
-    """Serialize one decoding context to tokens: :func:`prompt_windows`
-    with one window."""
-    return prompt_windows(user, query_text, query_sid.render(),
-                          [s.render() for s in recent_queries],
-                          [[s.render() for s in short_clicks]])[0]
+    """Serialize one decoding context to tokens: :func:`prompt_text` split
+    on its single spaces."""
+    head = prompt_head((",".join(map(str, user.short_part)), ",".join(map(str, user.long_part))),
+                       query_text, query_sid.render(), [s.render() for s in recent_queries])
+    return prompt_text(head, " ".join(s.render() for s in short_clicks)).split(" ")
 
 
 def query_words(query_text: object) -> list[str]:
@@ -215,28 +220,29 @@ def query_words(query_text: object) -> list[str]:
     return words
 
 
-def prompt_windows(
-    user: UserSid,
-    query_text: str,
-    query_sid: str,
-    recent_queries: Sequence[str],
-    windows: Iterable[Sequence[str]],
-) -> list[list[str]]:
-    """One prompt per short-click window; SIDs come already rendered.
+def prompt_head(user_groups: Sequence[str], query_text: str, query_sid: str,
+                recent_queries: Sequence[str]) -> str:
+    """The text of a prompt up to its short-click window, tokens joined by
+    single spaces; the two comma-joined user groups and the SIDs come
+    already rendered.
 
     Layout: ``[BOS] user [SEP] query-text [SEP] query-sid [SEP] q> ...
     [SEP] i> ... [EOS]``. Empty history segments are dropped together with
     their separator, so separators never stack; the ``q>``/``i>`` tags keep
     the parse unambiguous when only one history segment is present. SIDs
-    are single comma-joined tokens. The head up to the window is built once.
+    are single comma-joined tokens. One head serves every window of a
+    session through :func:`prompt_text`.
     """
-    words = query_words(query_text)
-    head = [BOS, ",".join(map(str, user.short_part)), ",".join(map(str, user.long_part)),
-            SEP, *words, SEP, query_sid]
+    head = [BOS, *user_groups, SEP, *query_words(query_text), SEP, query_sid]
     if recent_queries:
         head += [SEP, RECENT_QUERIES_TAG, *recent_queries]
-    return [head + [SEP, SHORT_CLICKS_TAG, *window, EOS] if window else head + [EOS]
-            for window in windows]
+    return " ".join(head)
+
+
+def prompt_text(head: str, window: str) -> str:
+    """The whole prompt: ``head``, then the short-click ``window`` (rendered
+    SIDs joined by spaces) unless it is empty, then ``[EOS]``."""
+    return f"{head} {SEP} {SHORT_CLICKS_TAG} {window} {EOS}" if window else f"{head} {EOS}"
 
 
 @dataclass(frozen=True)
@@ -248,44 +254,65 @@ class ParsedPrompt:
     short_clicks: tuple[Sid, ...]
 
 
-def parse_prompt(tokens: Sequence[str], scheme: SidScheme) -> ParsedPrompt:
-    """Inverse of :func:`assemble_prompt`."""
-    tokens = list(tokens)
+def prompt_fields(tokens: list[str], scheme: SidScheme) -> tuple[
+        list[int], list[tuple[int, ...]] | None, Sid]:
+    """The ``[SEP]`` positions of the prompt ``tokens``, its user digits as
+    :func:`_user_digits` gives them, and its query SID.
+
+    The one checker of the layout :func:`prompt_head` and :func:`prompt_text`
+    write, in one walk: the positions open with the ``[BOS]`` at 0 and close
+    with the ``[EOS]``, so segment i lies between positions i and i + 1.
+    Every SID is checked through ``scheme``'s parse memo; a user group must
+    be a SID of a 5-position scheme, else canonical integers. The first
+    fault raises ``ValueError``.
+    """
     if len(tokens) < 2 or tokens[0] != BOS or tokens[-1] != EOS:
         raise ValueError("prompt must be bracketed by [BOS] ... [EOS]")
-    segments: list[list[str]] = []
-    start = 1
+    seps = [0]
     for _ in range(tokens.count(SEP)):
-        end = tokens.index(SEP, start)
-        segments.append(tokens[start:end])
-        start = end + 1
-    segments.append(tokens[start:-1])
-    if len(segments) < 3:
-        raise ValueError(f"expected at least 3 segments, got {len(segments)}")
-    user_seg = segments[0]
-    if len(user_seg) != 2:
+        seps.append(tokens.index(SEP, seps[-1] + 1))
+    seps.append(len(tokens) - 1)
+    if len(seps) < 4:
+        raise ValueError(f"expected at least 3 segments, got {len(seps) - 1}")
+    if seps[1] != 3:
         raise ValueError("user segment must hold exactly two code groups")
-    if scheme.length == 5:  # user_parts clips each group to the scheme, so it reads as a SID
-        short_part, long_part = (scheme.parse(group).digits for group in user_seg)
-    else:
-        short_part, long_part = (tuple(map(int, group.split(","))) for group in user_seg)
-        for group, part in zip(user_seg, (short_part, long_part)):
-            if ",".join(map(str, part)) != group or "-" in group:
-                raise ValueError(f"user id group {group!r} is not in canonical form")
-    query_text = " ".join(segments[1])
-    if len(segments[2]) != 1:
+    user = _user_digits(tokens, scheme)
+    if seps[3] != seps[2] + 2:
         raise ValueError("query-sid segment must hold exactly one SID")
-    query_sid = scheme.parse(segments[2][0])
-    recent: tuple[Sid, ...] = ()
-    clicks: tuple[Sid, ...] = ()
-    for seg in segments[3:]:
-        if not seg:
+    query_sid = scheme.parse(tokens[seps[2] + 1])
+    for start, end in zip(seps[3:], seps[4:]):
+        if end == start + 1:
             raise ValueError("empty segment between separators")
-        tag, rest = seg[0], seg[1:]
-        if tag == RECENT_QUERIES_TAG:
-            recent = tuple(map(scheme.parse, rest))
-        elif tag == SHORT_CLICKS_TAG:
-            clicks = tuple(map(scheme.parse, rest))
-        else:
-            raise ValueError(f"unknown history segment tag {tag!r}")
-    return ParsedPrompt(UserSid(short_part, long_part), query_text, query_sid, recent, clicks)
+        if tokens[start + 1] not in _HISTORY_TAGS:
+            raise ValueError(f"unknown history segment tag {tokens[start + 1]!r}")
+        scheme.check(tokens[start + 2:end])
+    if user is not None:
+        check_user_parts(*user)
+    return seps, user, query_sid
+
+
+def _user_digits(tokens: list[str], scheme: SidScheme) -> list[tuple[int, ...]] | None:
+    """The two user groups at ``tokens[1:3]`` as digits, or None when the
+    scheme has 5 positions: user_parts clips each group to the scheme, so then
+    each must read as a SID, and that check is all that is done."""
+    groups = tokens[1:3]
+    if scheme.length == 5:
+        scheme.check(groups)
+        return None
+    parts = [tuple(map(int, group.split(","))) for group in groups]
+    for group, part in zip(groups, parts):
+        if ",".join(map(str, part)) != group or "-" in group:
+            raise ValueError(f"user id group {group!r} is not in canonical form")
+    return parts
+
+
+def parse_prompt(tokens: Sequence[str], scheme: SidScheme) -> ParsedPrompt:
+    """Inverse of :func:`assemble_prompt`, checked by :func:`prompt_fields`."""
+    tokens = list(tokens)
+    seps, user, query_sid = prompt_fields(tokens, scheme)
+    user = user or [scheme.parse(group).digits for group in tokens[1:3]]
+    histories: dict[str, tuple[Sid, ...]] = {tag: () for tag in _HISTORY_TAGS}
+    for start, end in zip(seps[3:], seps[4:]):  # a repeated tag: the last one holds
+        histories[tokens[start + 1]] = tuple(map(scheme.parse, tokens[start + 2:end]))
+    return ParsedPrompt(UserSid(*user), " ".join(tokens[4:seps[2]]), query_sid,
+                        histories[RECENT_QUERIES_TAG], histories[SHORT_CLICKS_TAG])

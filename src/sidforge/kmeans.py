@@ -367,18 +367,23 @@ def _balanced_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     order = np.argsort(-margin, kind="stable")
 
     floor, extra = divmod(n, k)  # extra: ceil-sized clusters still allowed
-    counts = np.zeros(k, dtype=np.int64)
-    assign = np.empty(n, dtype=np.int64)
-    for p in order:
-        cap = floor + (extra > 0)  # a cluster below cap has room
-        c = nearest_c[p]
+    cap = floor + (extra > 0)  # a cluster below cap has room
+    counts = [0] * k
+    full = np.zeros(k, dtype=bool)  # counts >= cap, for the masked argmin
+    assign = nearest_c.tolist()
+    for p in order.tolist():
+        c = assign[p]
         if counts[c] >= cap:
-            c = np.where(counts < cap, dists[p], np.inf).argmin()
+            c = assign[p] = int(np.where(full, np.inf, dists[p]).argmin())
         counts[c] += 1
-        assign[p] = c
+        if counts[c] == cap:
+            full[c] = True
         if counts[c] > floor:
             extra -= 1
-    return assign
+            if extra == 0:  # the ceil-sized slots are gone: every floor-sized cluster is full
+                cap = floor
+                full = np.array(counts) >= cap
+    return np.array(assign, dtype=np.int64)
 
 
 # pairwise-swap polish is quadratic in n; skip it for big fits

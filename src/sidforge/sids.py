@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._records import read_records, write_records
 
@@ -90,6 +90,13 @@ class SidScheme:
         if len(self._parsed) < _PARSE_MEMO_CAP:
             self._parsed[text] = sid
         return sid
+
+    def check(self, texts: Sequence[str]) -> None:
+        """:meth:`parse` each text in order, keeping nothing; when every text
+        is in the memo, that is one lookup each."""
+        if not all(map(self._parsed.__contains__, texts)):
+            for text in texts:
+                self.parse(text)
 
 
 class SidCatalog:

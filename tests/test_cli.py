@@ -86,6 +86,38 @@ class TestEnhance:
         assert enhanced.ids == base.ids
         assert not np.allclose(enhanced.matrix, base.matrix)
 
+    def test_file_equals_compose_enhanced_per_item(self, tmp_path):
+        from sidforge.embedding import KeywordSet, compose_enhanced
+
+        rng = np.random.default_rng(5)
+        counts = {"a": 0, "b": 1, "c": 7, "d": 9, "e": 200}
+        kw_ids = [f"{item}#{j}" for item, m in counts.items() for j in range(m)] + ["zz#0", "zz"]
+        kw_ids = [kw_ids[j] for j in rng.permutation(len(kw_ids))]
+        items = Catalog(list(counts), rng.normal(size=(len(counts), 16)) * 1e3)
+        keywords = Catalog(kw_ids, rng.normal(size=(len(kw_ids), 16)))
+        save_catalog(items, tmp_path / "items.catalog")
+        save_catalog(keywords, tmp_path / "keywords.catalog")
+        assert main(["enhance", "--catalog", str(tmp_path / "items.catalog"),
+                     "--keywords", str(tmp_path / "keywords.catalog"),
+                     "--out", str(tmp_path / "cli.catalog")]) == 0
+        items, keywords = (load_catalog(tmp_path / f"{n}.catalog") for n in ("items", "keywords"))
+        owned = {item: tuple(kw for kw in keywords if kw.id.split("#", 1)[0] == item)
+                 for item in items.ids}
+        rows = [compose_enhanced(item, KeywordSet(item.id, owned[item.id])).vector for item in items]
+        save_catalog(Catalog(items.ids, np.stack(rows)), tmp_path / "api.catalog")
+        assert (tmp_path / "cli.catalog").read_bytes() == (tmp_path / "api.catalog").read_bytes()
+
+    def test_keyword_dim_mismatch_names_the_keyword_file(self, tmp_path):
+        save_catalog(Catalog(["a", "b"], np.zeros((2, 4))), tmp_path / "items.catalog")
+        save_catalog(Catalog(["a#0", "b#0"], np.zeros((2, 3))), tmp_path / "keywords.catalog")
+        with pytest.raises(ValueError) as info:
+            main(["enhance", "--catalog", str(tmp_path / "items.catalog"),
+                  "--keywords", str(tmp_path / "keywords.catalog"),
+                  "--out", str(tmp_path / "out.catalog")])
+        assert str(info.value) == (f"{tmp_path / 'keywords.catalog'}: keyword 'a#0' has dim 3, "
+                                   "base 'a' has dim 4")
+        assert not (tmp_path / "out.catalog").exists()
+
 
 class TestFilterPairs:
     def test_threshold_filtering(self, workspace, capsys):

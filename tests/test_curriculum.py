@@ -166,6 +166,11 @@ class TestStage3:
         )
         assert records[0].input_tokens[-1] == "agg:agg7"
 
+    @pytest.mark.parametrize("ref", ["a b", "a\tb", " "])
+    def test_aggregate_ref_holding_whitespace_rejected(self, cb, ref):
+        with pytest.raises(ValueError, match="aggregate_ref must be one token without whitespace"):
+            build_stage3([self.session([sid(1, 1, 1, 1, 1)], aggregate_ref=ref)], cb)
+
     def test_codebook_without_five_digit_sids_rejected(self):
         rng = np.random.default_rng(0)
         short_cb = fit_codebook(rng.normal(size=(40, 4)), (8, 4), balanced_last=False,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sidforge.embedding import (
     Catalog,
@@ -10,6 +10,7 @@ from sidforge.embedding import (
     compose_enhanced,
     cosine,
     cosine_filter,
+    enhance_catalog,
     float_rows,
     load_catalog,
     make_pair,
@@ -60,6 +61,70 @@ class TestComposeEnhanced:
     def test_output_dim_matches_catalog(self):
         out = compose_enhanced(emb("b", 1, 2, 3), KeywordSet("b", (emb("k", 1, 1, 1),)))
         assert out.dim == 3
+
+
+def _enhanced_per_item(catalog: Catalog, keywords: Catalog) -> np.ndarray:
+    """The reference: one KeywordSet and one compose_enhanced per item."""
+    by_owner: dict[str, list] = {}
+    for kw in keywords:
+        by_owner.setdefault(kw.id.split("#", 1)[0], []).append(kw)
+    return np.stack([compose_enhanced(item, KeywordSet(item.id, tuple(by_owner.get(item.id, ()))))
+                     .vector for item in catalog])
+
+
+@st.composite
+def _keyword_catalogs(draw):
+    """An item catalog and a keyword catalog in shuffled file order: items own
+    0, 1, 7, 9 or 200 keywords, and some keywords own no catalog item."""
+    dim = draw(st.sampled_from([1, 16]))
+    counts = draw(st.lists(st.sampled_from([0, 1, 7, 9, 200]), min_size=1, max_size=5))
+    strays = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = [f"i{n}" for n in range(len(counts))]
+    kw_ids = [f"{item}#{j}" if j else item for item, m in zip(ids, counts) for j in range(m)]
+    kw_ids += [f"stray{n}#0" for n in range(strays)]
+    kw_ids = [kw_ids[j] for j in draw(st.permutations(range(len(kw_ids))))]
+
+    def rows(n):  # float32 values, as catalog files hold, over many magnitudes
+        scale = 10.0 ** rng.integers(-6, 7, size=(n, 1))
+        return (rng.normal(size=(n, dim)) * scale).astype(np.float32)
+
+    return Catalog(ids, rows(len(ids))), Catalog(kw_ids, rows(len(kw_ids)).reshape(-1, dim))
+
+
+class TestEnhanceCatalog:
+    @settings(max_examples=60, deadline=None)
+    @given(_keyword_catalogs())
+    def test_equals_compose_enhanced_per_item_bit_for_bit(self, catalogs):
+        catalog, keywords = catalogs
+        got = enhance_catalog(catalog, keywords)
+        assert got.ids == catalog.ids
+        assert got.matrix.tobytes() == _enhanced_per_item(catalog, keywords).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([1, 16]), st.sampled_from([1, 7, 9, 200]), st.integers(0, 2**32 - 1))
+    def test_compose_enhanced_is_half_base_plus_numpy_mean(self, dim, m, seed):
+        rng = np.random.default_rng(seed)
+        base, stack = rng.normal(size=dim), rng.normal(size=(m, dim)) * 10.0 ** rng.integers(-6, 7)
+        got = compose_enhanced(Embedding("b", base), KeywordSet(
+            "b", tuple(Embedding(f"k{j}", row) for j, row in enumerate(stack))))
+        assert got.vector.tobytes() == (0.5 * (base + np.mean(list(stack), axis=0))).tobytes()
+
+    def test_items_without_keywords_pass_through(self):
+        catalog = Catalog(["a", "b"], np.array([[1.0, 2.0], [3.0, 4.0]]))
+        got = enhance_catalog(catalog, Catalog(["c#0"], np.array([[9.0, 9.0]])))
+        assert got.matrix.tobytes() == catalog.matrix.tobytes()
+
+    def test_dim_mismatch_names_the_first_item_with_keywords(self):
+        catalog = Catalog(["a", "b"], np.zeros((2, 4)))
+        keywords = Catalog(["z#0", "b#0", "a#1", "a#0"], np.zeros((4, 3)))
+        with pytest.raises(ValueError, match=r"^keyword 'a#1' has dim 3, base 'a' has dim 4$"):
+            enhance_catalog(catalog, keywords)
+
+    def test_dim_mismatch_without_owned_keywords_passes(self):
+        catalog = Catalog(["a"], np.ones((1, 4)))
+        got = enhance_catalog(catalog, Catalog(["z#0"], np.zeros((1, 3))))
+        assert got.matrix.tobytes() == catalog.matrix.tobytes()
 
 
 class TestCosineFilter:

@@ -320,3 +320,167 @@ def test_cli_prompts_carry_the_recent_queries_of_a_session(tmp_path):
     for rec in records:
         prompt = parse_prompt(rec.input_tokens[1:], SCHEME)
         assert prompt.recent_queries == (query_sids["q2"], query_sids["q1"])
+
+
+def test_cli_file_equals_written_build_stage3(tmp_path, capsys):
+    """Recent queries, long clicks, aggregate refs, windows beyond
+    --max-window, cold sessions and over-long sequences (skipped)."""
+    from sidforge.cli import _read_sessions
+    from sidforge.curriculum import write_task_records
+    from sidforge.sids import read_sid_file
+
+    save_codebook(_codebook(), tmp_path / "cb.bin")
+    rng = np.random.default_rng(11)
+    items = [f"i{n}" for n in range(40)]
+    write_sid_file(tmp_path / "items.sids", [(i, _random_sid(rng)) for i in items])
+    write_sid_file(tmp_path / "queries.sids", [(f"q{n}", _random_sid(rng)) for n in range(6)])
+
+    def clicks(n):
+        return [items[int(i)] for i in rng.integers(len(items), size=n)]
+
+    sessions = []
+    for s in range(40):
+        obj = {"session_id": f"s{s}", "query_id": f"q{s % 6}", "clicked_item": clicks(1)[0],
+               "short_clicks": clicks(int(rng.choice([0, 1, 3, 6, 9]))),
+               "query_text": " ".join(rng.choice(["red", "shoes", "", "big"], size=3))}
+        if s % 3 == 0:
+            obj["long_clicks"] = clicks(int(rng.choice([1, 4, 60])))
+        if s % 4 == 1:
+            obj["recent_queries"] = [f"q{int(q)}" for q in rng.integers(6, size=2)]
+        if s % 5 == 2:
+            obj["aggregate_ref"] = f"a{s}"
+        sessions.append(obj)
+    sessions[7]["short_clicks"] = clicks(501)  # over the short-click cap
+    sessions[8]["long_clicks"] = clicks(5001)  # over the long-click cap
+    sessions[9]["short_clicks"] = clicks(500)  # at the cap, the clicked item last
+    sessions[9]["clicked_item"] = sessions[9]["short_clicks"][-1]
+    (tmp_path / "sessions.jsonl").write_text("".join(json.dumps(s) + "\n" for s in sessions))
+    capsys.readouterr()
+    assert main(["curriculum", "--stage", "3", "--sessions", str(tmp_path / "sessions.jsonl"),
+                 "--sids", str(tmp_path / "items.sids"),
+                 "--query-sids", str(tmp_path / "queries.sids"),
+                 "--codebook", str(tmp_path / "cb.bin"), "--max-window", "2",
+                 "--out", str(tmp_path / "cli.tsv")]) == 0
+    stdout = capsys.readouterr().out
+    read = _read_sessions(tmp_path / "sessions.jsonl",
+                          read_sid_file(tmp_path / "items.sids", SCHEME).entries,
+                          read_sid_file(tmp_path / "queries.sids", SCHEME).entries)
+    records, stats = build_stage3(read, _codebook(), max_window=2)
+    write_task_records(records, tmp_path / "api.tsv")
+    assert (tmp_path / "cli.tsv").read_bytes() == (tmp_path / "api.tsv").read_bytes()
+    assert stdout == f"records={len(records)} skipped={stats.skipped}\n"
+    assert stats.skipped == 2
+    windows = [r.input_tokens.index("[EOS]") - r.input_tokens.index("i>") - 1
+               for r in records if "i>" in r.input_tokens]
+    assert max(windows) == 2 and len(records) > 500
+    assert any(r.input_tokens[-1].startswith("agg:") for r in records)
+    assert any("q>" in r.input_tokens for r in records)
+
+
+# --- the one prompt checker against the per-object reader it replaced ---
+
+SCHEME3 = SidScheme((4, 4), (3,))
+_POOL = ["[SEP]", "[BOS]", "[EOS]", "q>", "i>", "x>", "agg:z", "", "<T3>", "red",
+         "1,2", "1,2,0", "1,2,3", "01,2,0", "-0,1,1", "1,2,0,0,1", "0,1,2,3,0", "1,1,1,1,1",
+         "3,3,3,2,2", "5,0,0,0,0", "1,1,1,1,-0", "+1,0,0", "a,b,c", "1,,2"]
+
+
+def _valid_lines(rng) -> list[tuple[SidScheme, str]]:
+    records, _ = build_stage3(_random_sessions(rng, 60), _codebook())
+    lines = [(SCHEME, "\t".join(("3", r.task_tag, " ".join(r.input_tokens), r.target_tokens[0])))
+             for r in records]
+    lines += [(SCHEME3, f"3\tpersonalization\t<T3> [BOS] 0,1,2,3,0 1,1,1,1,1 [SEP] red{text} "
+                        f"[SEP] 0,1,1{hist} [EOS]{agg}\t1,2,0")
+              for text in ("", " shoes") for agg in ("", " agg:a1")
+              for hist in ("", " [SEP] q> 1,2,0 3,3,1", " [SEP] i> 3,0,2", " [SEP] q> 1,2,0 "
+                           "[SEP] i> 3,0,2 0,0,0")]
+    return lines
+
+
+def _mutate(line: str, rng) -> str:
+    stage, tag, inputs, target = line.split("\t")
+    tokens = inputs.split(" ")
+    for _ in range(int(rng.integers(1, 4))):
+        op = int(rng.integers(11))
+        i = int(rng.integers(len(tokens) + 1))
+        if op == 0 and tokens:
+            del tokens[min(i, len(tokens) - 1)]
+        elif op == 1:
+            tokens.insert(i, str(rng.choice(_POOL)))
+        elif op == 2 and tokens:
+            tokens[min(i, len(tokens) - 1)] = str(rng.choice(_POOL))
+        elif op == 3 and len(tokens) > 1:
+            j = int(rng.integers(len(tokens) - 1))
+            tokens[j], tokens[j + 1] = tokens[j + 1], tokens[j]
+        elif op == 4 and tokens:  # one digit of one comma token
+            j = min(i, len(tokens) - 1)
+            digits = tokens[j].split(",")
+            digits[int(rng.integers(len(digits)))] = str(rng.choice(["7", "-1", "01", "x", ""]))
+            tokens[j] = ",".join(digits)
+        elif op == 5:
+            stage = str(rng.choice(["1", "2", "4", "x", "03", " 3"]))
+        elif op == 6:
+            tag = str(rng.choice(["query_to_item", "bogus", "text_to_sid"]))
+        elif op == 7:
+            target = str(rng.choice(["1,2,0 1,2,0", "1,2,9", "1,2", "01,2,0", "3,3,2,2,2",
+                                     "0,0,0,0,0"]))
+        elif op == 9 and len(tokens) > 3:  # a user group one digit short (after <T3> [BOS])
+            j = 2 + int(rng.integers(2))
+            tokens[j] = tokens[j].rsplit(",", 1)[0]
+        elif op == 8 and tokens:  # a repeated token: [SEP] [SEP], two user groups ...
+            j = min(i, len(tokens) - 1)
+            tokens.insert(j, tokens[j])
+        elif tokens:
+            tokens.append(str(rng.choice(_POOL)))
+    return "\t".join((stage, tag, " ".join(tokens), target))
+
+
+def _outcome(call):
+    try:
+        result = call()
+    except Exception as exc:  # the type and the message must both match
+        return type(exc).__name__, str(exc)
+    return "ok", result.tolist() if isinstance(result, np.ndarray) else result
+
+
+def test_reader_matches_the_per_object_reference_on_mutated_lines(tmp_path):
+    import stage3_oracle
+
+    rng = np.random.default_rng(21)
+    valid = _valid_lines(rng)
+    path = tmp_path / "stage3.tsv"
+    by_scheme = {SCHEME: [line for sch, line in valid if sch is SCHEME],
+                 SCHEME3: [line for sch, line in valid if sch is SCHEME3]}
+    outcomes = []
+    for n in range(1200):
+        scheme = (SCHEME, SCHEME3)[n % 2]
+        good, line = by_scheme[scheme][0], by_scheme[scheme][int(rng.integers(len(by_scheme[scheme])))]
+        path.write_text(f"{good}\n{_mutate(line, rng)}\n", encoding="utf-8")
+        fresh = SidScheme(scheme.rq_sizes, scheme.opq_sizes)  # memos start empty on both sides
+        want = _outcome(lambda: stage3_oracle.read_stage3_codes(path, fresh))
+        got = _outcome(lambda: read_stage3_codes(path, scheme))
+        assert got == want, (n, path.read_text())
+        outcomes.append(str(want))
+    for outcome in ("'ok'", "bracketed", "at least 3 segments", "exactly two code groups",
+                    "is not in canonical form", "exactly one SID", "empty segment",
+                    "unknown history segment tag", "10 digits", "stage 3 needs",
+                    "stage must be", "unknown task tag", "outside [0,", "invalid literal"):
+        assert any(outcome in text for text in outcomes), outcome  # every check is reached
+
+
+def test_parse_prompt_matches_the_per_object_reference_on_mutated_prompts():
+    import stage3_oracle
+
+    rng = np.random.default_rng(22)
+    valid = _valid_lines(rng)
+    for _ in range(1000):
+        scheme, line = valid[int(rng.integers(len(valid)))]
+        tokens = _mutate(line, rng).split("\t")[2].split(" ")[1:]
+        fresh = SidScheme(scheme.rq_sizes, scheme.opq_sizes)
+        want = _outcome(lambda: stage3_oracle.parse_prompt(tokens, fresh))
+        got = _outcome(lambda: parse_prompt(tokens, scheme))
+        if got[0] == "ok":
+            p = got[1]
+            got = ("ok", (p.user.short_part, p.user.long_part, p.query_text, p.query_sid,
+                          p.recent_queries, p.short_clicks))
+        assert got == want, tokens
