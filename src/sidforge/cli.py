@@ -295,10 +295,24 @@ def cmd_fit_scorer(args) -> None:
     cooccurrence_fit(codes, scheme).save(args.out)
 
 
+def _load_scorer(path: str, scheme: SidScheme, source: str) -> CooccurrenceScorer:
+    """The scorer file at ``path``, refused unless fitted under ``scheme``,
+    which comes from ``source``."""
+    scorer = CooccurrenceScorer.load(path)
+    if scorer.scheme != scheme:
+        raise ValueError(f"{path}: scorer scheme {_scheme_text(scorer.scheme)} is not "
+                         f"the scheme {_scheme_text(scheme)} of {source}")
+    return scorer
+
+
+def _scheme_text(scheme: SidScheme) -> str:
+    return f"levels {scheme.rq_sizes} opq {scheme.opq_sizes}"
+
+
 def cmd_generate(args) -> None:
     scheme = _scheme_from_args(args)
     trie = build_trie(read_sid_file(args.trie_from, scheme))
-    scorer = CooccurrenceScorer.load(args.scorer)
+    scorer = _load_scorer(args.scorer, scheme, "--levels/--opq")
     context_path = Path(args.context)
     if context_path.exists():
         context = [tok for line in read_records(context_path, str.split) for tok in line]
@@ -323,7 +337,7 @@ def _read_cases(path: str, scheme: SidScheme) -> list[ev.EvalCase]:
 
 def cmd_evaluate(args) -> None:
     codebook = load_codebook(args.codebook)
-    scorer = CooccurrenceScorer.load(args.scorer)
+    scorer = _load_scorer(args.scorer, codebook.scheme, f"codebook {args.codebook}")
     catalog = load_catalog(args.catalog)
     cases = _read_cases(args.cases, codebook.scheme)
     sid_catalog = None

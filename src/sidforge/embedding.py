@@ -37,6 +37,9 @@ PAIR_KINDS = ("q2q", "i2i", "q2i")
 # is such a sum times a tiny factor. Float32 files (<= ~3.4e38) never reach it.
 _MAX_ABS = 1e100
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
+# A finite sum of squares below this bounds every entry by ~3.2e99 < _MAX_ABS,
+# even after the dot product's rounding.
+_MAX_SQUARES = 1e199
 
 
 def float_rows(rows: np.ndarray, what: str, dim: int | None = None, *,
@@ -44,18 +47,31 @@ def float_rows(rows: np.ndarray, what: str, dim: int | None = None, *,
     """``rows`` as a float64 ``(n, dim)`` array (any ``dim >= 1`` when None;
     zero rows only when ``empty``). A wrong shape, NaN or inf, or an entry
     beyond ``_MAX_ABS`` raises ``ValueError`` naming ``what`` and the first
-    bad row. The common case costs one min and one max, no (n, dim) temporary.
+    bad row. The common case, a C-contiguous array, costs one dot product of
+    its flat view with itself; any other, one min and one max. Neither makes
+    an (n, dim) temporary.
     """
     rows = np.asarray(rows, dtype=np.float64)
     n, d = rows.shape if rows.ndim == 2 else (0, 0)
     if not d or dim not in (None, d) or not (n or empty):
         raise ValueError(f"{what} must be {'an' if empty else 'a nonempty'} (n, dim) array "
                          f"with dim {dim or '>= 1'}, got shape {rows.shape}")
-    if n and not (-_MAX_ABS <= _MIN(rows, None) and _MAX(rows, None) <= _MAX_ABS):
+    if n and not (_bounded_squares(rows)
+                  or -_MAX_ABS <= _MIN(rows, None) and _MAX(rows, None) <= _MAX_ABS):
         bad = int(np.argmin((np.abs(rows) <= _MAX_ABS).all(axis=1)))
         kind = f"value beyond {_MAX_ABS:g}" if np.isfinite(rows[bad]).all() else "non-finite value"
         raise ValueError(f"{what} row {bad} holds a {kind}")
     return rows
+
+
+def _bounded_squares(rows: np.ndarray) -> bool:
+    """Whether a C-contiguous ``rows`` has a sum of squares below ``_MAX_SQUARES``
+    (False for NaN or inf, or for an array that is not C-contiguous)."""
+    if not rows.flags.c_contiguous:
+        return False
+    flat = rows.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.dot(flat, flat) < _MAX_SQUARES)
 
 
 def float32_rows(rows: np.ndarray, what: str) -> np.ndarray:

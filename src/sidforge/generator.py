@@ -9,9 +9,11 @@ code digit and the previous target digit, so no neural decoder is needed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -49,34 +51,34 @@ class _TrieNode:
 
 class SidTrie:
     """Prefix tree over catalog code tuples; terminals carry item ids. Children
-    and terminal ids are in ascending order, so readers never sort."""
+    and terminal ids are in ascending order, so readers never sort.
+    ``terminals`` maps each distinct full SID to its terminal's ``item_ids``."""
 
     def __init__(self, scheme: SidScheme):
         self.scheme = scheme
         self.root = _TrieNode()
         self.size = 0
+        self.terminals: dict[tuple[int, ...], list[str]] = {}
 
     def contains(self, digits: tuple[int, ...]) -> bool:
-        return bool(self.items_at(digits))
+        return tuple(digits) in self.terminals
 
     def items_at(self, digits: tuple[int, ...]) -> list[str]:
-        node = self.root
-        for d in digits:
-            node = node.children.get(d)
-            if node is None:
-                return []
-        return list(node.item_ids)
+        return list(self.terminals.get(tuple(digits), ()))
 
 
 def build_trie(sid_catalog: SidCatalog) -> SidTrie:
     """Trie of exactly the catalog's SIDs, laid out from one sort of
-    ``(digits, id)``; duplicates share a path."""
+    ``(digits, id)``; duplicates share a path and a terminal entry."""
     trie = SidTrie(sid_catalog.scheme)
     for digits, item_id in sorted((sid.digits, item_id) for item_id, sid in sid_catalog):
-        node = trie.root
-        for d in digits:
-            node = node.children.setdefault(d, _TrieNode())
-        node.item_ids.append(item_id)
+        item_ids = trie.terminals.get(digits)
+        if item_ids is None:
+            node = trie.root
+            for d in digits:
+                node = node.children.setdefault(d, _TrieNode())
+            item_ids = trie.terminals[digits] = node.item_ids
+        item_ids.append(item_id)
     trie.size = len(sid_catalog)
     return trie
 
@@ -117,38 +119,57 @@ def beam_search(
             scheme = trie.scheme
     length = scheme.length
 
-    # live beams stay in digit order, so a stable sort on -score is (-score, digits)
+    # live beams stay in digit order, so a cut that keeps the lowest index
+    # among equal scores breaks ties by digits
     prefixes, acc = np.zeros((1, 0), dtype=np.int64), np.zeros(1)
     nodes = [trie.root] if constrained else []  # each live beam's trie node
     for step in range(length):
         vocab = scheme.sizes[step]
-        if constrained:
-            parent = np.repeat(np.arange(len(nodes)), [len(node.children) for node in nodes])
-            digit = np.array([d for node in nodes for d in node.children], dtype=np.int64)
-        else:
-            parent, digit = np.divmod(np.arange(len(prefixes) * vocab), vocab)
         rows = np.asarray(scorer.score_step(context, prefixes, vocab), dtype=float)
         if rows.shape != (len(prefixes), vocab) or not np.isfinite(rows).all():
             raise ValueError(f"step {step}: scorer must return finite scores of shape "
                              f"{(len(prefixes), vocab)}, got shape {rows.shape}")
-        scores = acc[parent] + rows[parent, digit]
-        keep = np.sort(np.argsort(-scores, kind="stable")[:beam])
-        parent, digit = parent[keep], digit[keep]
+        if constrained:
+            parent = np.repeat(np.arange(len(nodes)), [len(node.children) for node in nodes])
+            digit = np.array([d for node in nodes for d in node.children], dtype=np.int64)
+            scores = acc[parent] + rows[parent, digit]
+        else:  # every (parent, digit) in row-major order
+            scores = (acc[:, None] + rows).ravel()
+        keep = _best(scores, beam)
+        parent, digit = (parent[keep], digit[keep]) if constrained else np.divmod(keep, vocab)
         prefixes, acc = np.column_stack((prefixes[parent], digit)), scores[keep]
         if constrained:
             nodes = [nodes[p].children[d] for p, d in zip(parent.tolist(), digit.tolist())]
 
-    n_rq = len(scheme.rq_sizes)
-    hits = []
     order = np.argsort(-acc, kind="stable")
-    for digits, score in zip(map(tuple, prefixes[order].tolist()), acc[order].tolist()):
-        sid = Sid(digits[:n_rq], digits[n_rq:])
-        if constrained:
-            in_catalog: bool | None = True
-        else:
-            in_catalog = trie.contains(digits) if trie is not None else None
-        hits.append(BeamHit(sid, score, in_catalog))
-    return hits
+    columns = prefixes[order].T.tolist()  # one list per position
+    n_rq = len(scheme.rq_sizes)
+    # hits share equal rq and equal opq tuples: fewer live objects to collect
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    rq = list(zip(*columns[:n_rq]))
+    opq = list(zip(*columns[n_rq:])) if n_rq < length else [()] * len(rq)
+    sids = map(Sid, map(shared.setdefault, rq, rq), map(shared.setdefault, opq, opq))
+    if constrained:
+        in_catalog: Iterable[bool | None] = itertools.repeat(True)
+    elif trie is not None:
+        in_catalog = map(trie.terminals.__contains__, zip(*columns))
+    else:
+        in_catalog = itertools.repeat(None)
+    return list(map(BeamHit, sids, acc[order].tolist(), in_catalog))
+
+
+def _best(scores: np.ndarray, beam: int) -> np.ndarray:
+    """Ascending indices of the ``beam`` highest ``scores``, equal scores kept
+    lowest index first: ``np.sort(np.argsort(-scores, kind="stable")[:beam])``
+    from one partition instead of a full sort."""
+    n = len(scores)
+    if n <= beam:
+        return np.arange(n)
+    threshold = np.partition(scores, n - beam)[n - beam]
+    keep = scores > threshold
+    tied = np.flatnonzero(scores == threshold)
+    keep[tied[:beam - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 class CooccurrenceScorer:
@@ -156,8 +177,28 @@ class CooccurrenceScorer:
 
     def __init__(self, scheme: SidScheme):
         self.scheme = scheme
-        # counts[(position, query_digit, previous_digit)][digit]
-        self.counts: dict[tuple[int, int, int], dict[int, int]] = {}
+        self._set_counts({})
+
+    @property
+    def counts(self) -> Mapping[tuple[int, int, int], Mapping[int, int]]:
+        """Read-only ``counts[(position, query_digit, previous_digit)][digit]``."""
+        return self._counts
+
+    def _set_counts(self, counts: dict[tuple[int, int, int], dict[int, int]]) -> None:
+        """The one place counts are set: they are frozen, and each slot's
+        log-scores are computed once, ``(log(1/total), digits, their logs)``,
+        by the per-digit formula so every bit is kept."""
+        self._counts = MappingProxyType({key: MappingProxyType(slot)
+                                         for key, slot in counts.items()})
+        sizes = self.scheme.sizes
+        self._uniform = [(math.log(1 / vocab), np.zeros(0, dtype=np.int64), np.zeros(0))
+                         for vocab in sizes]
+        self._slots = {}
+        for key, slot in counts.items():
+            total = sum(slot.values()) + sizes[key[0]]
+            self._slots[key] = (math.log(1 / total), np.array(list(slot), dtype=np.int64),
+                                np.array([math.log((count + 1) / total)
+                                          for count in slot.values()]))
 
     def _context_digit(self, context) -> int:
         if isinstance(context, Sid):
@@ -176,12 +217,11 @@ class CooccurrenceScorer:
         slots, inverse = np.unique(prefixes[:, -1] if pos else np.full(len(prefixes), -1),
                                    return_inverse=True)
         rows = np.empty((len(slots), vocab))
+        uniform = self._uniform[pos]  # an unseen slot: add-1 over zero counts
         for row, prev in zip(rows, slots.tolist()):
-            slot = self.counts.get((pos, q1, prev), {})
-            total = sum(slot.values()) + vocab
-            row.fill(math.log(1 / total))
-            for digit, count in slot.items():
-                row[digit] = math.log((count + 1) / total)
+            base, digits, logs = self._slots.get((pos, q1, prev), uniform)
+            row.fill(base)
+            row[digits] = logs
         return rows[inverse]
 
     def save(self, path: str | Path) -> None:
@@ -199,11 +239,17 @@ class CooccurrenceScorer:
     @classmethod
     def load(cls, path: str | Path) -> "CooccurrenceScorer":
         def parse(payload: dict) -> "CooccurrenceScorer":
+            for name in ("rq_sizes", "opq_sizes"):
+                if not (isinstance(payload[name], list)
+                        and all(type(w) is int and w > 0 for w in payload[name])):
+                    raise ValueError(f"{name} must be a list of positive integers, "
+                                     f"got {payload[name]!r}")
             scorer = cls(SidScheme(tuple(payload["rq_sizes"]), tuple(payload["opq_sizes"])))
             counts = payload["counts"]
             if not isinstance(counts, dict):
                 raise ValueError("counts must be a JSON object")
             sizes = scorer.scheme.sizes
+            slots: dict[tuple[int, int, int], dict[int, int]] = {}
             for key, count in counts.items():
                 pos, q1, prev, digit = (int(x) for x in key.split(","))
                 if key != f"{pos},{q1},{prev},{digit}":
@@ -211,9 +257,10 @@ class CooccurrenceScorer:
                 if not (0 <= pos < len(sizes) and 0 <= q1 < sizes[0] and 0 <= digit < sizes[pos]
                         and (prev == -1 if pos == 0 else 0 <= prev < sizes[pos - 1])):
                     raise ValueError(f"count key {key!r} is outside the scheme {sizes}")
-                if not isinstance(count, int) or count < 0:
+                if type(count) is not int or count < 0:  # bool is an int subclass
                     raise ValueError(f"count {count!r} for {key!r} is not a non-negative integer")
-                scorer.counts.setdefault((pos, q1, prev), {})[digit] = count
+                slots.setdefault((pos, q1, prev), {})[digit] = count
+            scorer._set_counts(slots)
             return scorer
 
         return read_json(path, parse)
@@ -247,7 +294,7 @@ def cooccurrence_fit(records: Iterable[tuple[Sid, Sid]] | np.ndarray,
         row, pos = np.argwhere(outside)[0]
         raise ValueError(f"code {codes[row, 1 + pos]} at position {pos} "
                          f"outside [0, {sizes[pos]})")
-    scorer = CooccurrenceScorer(scheme)
+    slots: dict[tuple[int, int, int], dict[int, int]] = {}
     prev, prev_slots = np.full(len(codes), -1, dtype=np.int64), 1
     for pos, vocab in enumerate(scheme.sizes):
         digit = codes[:, 1 + pos]
@@ -256,8 +303,10 @@ def cooccurrence_fit(records: Iterable[tuple[Sid, Sid]] | np.ndarray,
         for slot, d, count in zip((keys // vocab).tolist(), (keys % vocab).tolist(),
                                   counts.tolist()):
             q, p = divmod(slot, prev_slots)
-            scorer.counts.setdefault((pos, q, p - 1), {})[d] = count
+            slots.setdefault((pos, q, p - 1), {})[d] = count
         prev, prev_slots = digit, vocab + 1
+    scorer = CooccurrenceScorer(scheme)
+    scorer._set_counts(slots)
     return scorer
 
 

@@ -581,6 +581,46 @@ class TestEvaluateSids:
         assert not (workspace / "never.tsv").exists()
 
 
+class TestScorerScheme:
+    """A scorer fitted under another scheme is refused when it is loaded, with
+    its path and both schemes, not midway through the search."""
+
+    @pytest.fixture()
+    def wide_scorer(self, tmp_path):
+        path = tmp_path / "wide_scorer.json"
+        path.write_text(json.dumps({"rq_sizes": [4, 3, 9], "opq_sizes": [2, 2], "counts": {}}))
+        return path
+
+    @staticmethod
+    def _message(argv) -> str:
+        with pytest.raises(ValueError) as info:
+            main(argv)
+        return str(info.value)
+
+    def test_generate(self, workspace, tmp_path, wide_scorer):
+        context = read_sid_file(workspace / "queries.sids", SCHEME).sids()[0].render()
+        message = self._message([
+            "generate", "--trie-from", str(workspace / "items.sids"), "--levels", LEVELS,
+            "--opq", OPQ, "--scorer", str(wide_scorer), "--context", context,
+            "--out", str(tmp_path / "gen.tsv")])
+        assert message == (f"{wide_scorer}: scorer scheme levels (4, 3, 9) opq (2, 2) is not "
+                           "the scheme levels (4, 3, 2) opq (2, 2) of --levels/--opq")
+        assert not (tmp_path / "gen.tsv").exists()
+
+    def test_evaluate(self, workspace, tmp_path, wide_scorer):
+        cases = tmp_path / "cases.jsonl"
+        context = read_sid_file(workspace / "queries.sids", SCHEME).sids()[0].render()
+        cases.write_text(json.dumps({"context": context, "truth": ["item0_0"]}) + "\n")
+        codebook = workspace / "cb.bin"
+        message = self._message([
+            "evaluate", "--codebook", str(codebook), "--scorer", str(wide_scorer),
+            "--catalog", str(workspace / "data" / "items.catalog"), "--cases", str(cases),
+            "--out", str(tmp_path / "eval.tsv")])
+        assert message == (f"{wide_scorer}: scorer scheme levels (4, 3, 9) opq (2, 2) is not "
+                           f"the scheme levels (4, 3, 2) opq (2, 2) of codebook {codebook}")
+        assert not (tmp_path / "eval.tsv").exists()
+
+
 def test_evaluate_with_sids_matches_run_eval_on_fit_sids(tmp_path):
     """Criterion 9 through the CLI: ``evaluate --sids`` ranks against the
     codes ``fit-codebook --sids-out`` wrote, as ``run_eval`` does with the

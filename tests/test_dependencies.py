@@ -1,5 +1,6 @@
 """numpy is the only runtime dependency: every import in ``src/sidforge``
-names a standard-library module, numpy or sidforge itself."""
+names a standard-library module, numpy or sidforge itself. Every file also
+parses under the oldest supported Python's grammar."""
 
 import ast
 import sys
@@ -10,6 +11,7 @@ import pytest
 import sidforge
 
 SRC = Path(sidforge.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "sidforge"}
 
 
@@ -47,3 +49,16 @@ def test_src_imports_only_stdlib_numpy_and_itself():
 ])
 def test_import_detector(source, allowed):
     assert all(name in ALLOWED for name in _imported(ast.parse(source))) is allowed
+
+
+def test_every_file_parses_as_python_3_10():
+    """CI also runs Python 3.10, so no file may use newer grammar."""
+    paths = sorted(p for part in ("src", "tests", "perfbench") for p in (ROOT / part).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_grammar_guard_rejects_newer_syntax():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass", feature_version=(3, 10))

@@ -489,6 +489,21 @@ class TestWholeFileJson:
         path.write_text(json.dumps({"rq_sizes": [4, 4], "opq_sizes": [3], "counts": counts}))
         assert "canonical" in _raises_at(CooccurrenceScorer.load, path, path)
 
+    @pytest.mark.parametrize("payload, detail", [
+        ({"rq_sizes": [4, 4], "opq_sizes": [3], "counts": {"0,1,-1,2": True}}, "count True"),
+        ({"rq_sizes": [4, 4], "opq_sizes": [3], "counts": {"0,1,-1,2": False}}, "count False"),
+        ({"rq_sizes": [4, True], "opq_sizes": [3], "counts": {}}, "rq_sizes"),
+        ({"rq_sizes": [4, 4], "opq_sizes": [False], "counts": {}}, "opq_sizes"),
+        ({"rq_sizes": [4.0, 4], "opq_sizes": [3], "counts": {}}, "rq_sizes"),
+        ({"rq_sizes": "44", "opq_sizes": [3], "counts": {}}, "rq_sizes"),
+        ({"rq_sizes": [4, 4], "opq_sizes": {"3": 3}, "counts": {}}, "opq_sizes"),
+    ], ids=["count_true", "count_false", "bool_level", "bool_opq", "float_level",
+            "string_levels", "object_opq"])
+    def test_scorer_bool_or_non_int_numbers_name_the_path(self, tmp_path, payload, detail):
+        path = tmp_path / "scorer.json"
+        path.write_text(json.dumps(payload))
+        assert detail in _raises_at(CooccurrenceScorer.load, path, path)
+
     def test_scorer_count_keys_inside_scheme_load(self, tmp_path):
         path = tmp_path / "scorer.json"
         keys = ["0,3,-1,3", "1,0,3,0", "2,1,0,2"]
