@@ -64,8 +64,10 @@ def _chunk_edges(n: int, width: int) -> list[int]:
     rows (at least one): chunk ``c`` is rows ``edges[c]:edges[c + 1]``.
 
     Equal chunks leave no small remainder: BLAS may take another code path
-    for a product of a few rows and round it differently, while large chunks
-    round exactly as one product over all rows.
+    for a product of a few rows and round it differently. Large chunks round
+    as one product over all rows, except where the table's width is no
+    multiple of the BLAS column tile: there a row's last columns round by
+    its place in the product, which ``_nearest_rows`` reproduces.
     """
     chunks = -(-n // max(1, _CHUNK_ENTRIES // width))
     return [c * n // chunks for c in range(chunks + 1)] if chunks else [0]
@@ -102,6 +104,123 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     for lo, hi in zip(edges, edges[1:]):
         idx[lo:hi], dist[lo:hi] = _block_nearest(_dist_block(points[lo:hi], neg2_table_t, table_sq))
     return idx, dist
+
+
+def _nearest_rows(points: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``nearest(points, table)[0][rows]``, computing only those rows.
+
+    A row's bits in a BLAS product depend on the product's shape and on the
+    row's place in it (edge tiles may take other kernels, which round the
+    last columns differently), not on the other rows. So each row goes
+    through at its place in ``nearest``'s chunk, in a block with that
+    chunk's row count whose other places are zero; rows at distinct places
+    of equal-sized chunks share a block.
+    """
+    edges = np.array(_chunk_edges(points.shape[0], table.shape[0]))
+    chunk = np.searchsorted(edges, rows, side="right") - 1
+    size = edges[chunk + 1] - edges[chunk]
+    place = rows - edges[chunk]
+    slot = 2 * place + (size > size.min())        # chunks have one of two row counts
+    order = np.argsort(slot, kind="stable")
+    rank = np.empty(rows.size, dtype=np.int64)    # earlier rows in the same slot
+    rank[order] = np.arange(rows.size) - np.searchsorted(slot[order], slot[order])
+    group = 2 * rank + slot % 2
+    order = np.argsort(group, kind="stable")
+    neg2_table_t = (-2.0 * table).T
+    table_sq = np.sum(table**2, axis=1)
+    labels = np.empty(rows.size, dtype=np.int64)
+    for sel in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+        block = np.zeros((size[sel[0]], points.shape[1]))
+        block[place[sel]] = points[rows[sel]]
+        labels[sel] = _block_nearest(_dist_block(block, neg2_table_t, table_sq))[0][place[sel]]
+    return labels
+
+
+# Tables narrower than this take ``nearest`` directly: below the paper's
+# narrowest hierarchy level the float32 pass saves less than it costs.
+_SCREEN_MIN_WIDTH = 512
+# The screen runs only while max ||p|| + max ||t|| stays below this: its
+# square, 2^100, bounds every float32 value it makes, far inside float32
+# range (~3.4e38 = 2^128), so no cast, product or sum overflows.
+_SCREEN_MAX_REACH = 2.0**50
+
+
+def nearest_labels(points: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``nearest(points, table)[0]`` bit for bit, through a float32 screen.
+
+    For a table of at least ``_SCREEN_MIN_WIDTH`` rows, each chunk of
+    ``_chunk_edges`` rows is cast to float32 alone, into a buffer whose last
+    column is 1, and scored by one product with the float32 columns
+    ``(-2 t_j, ||t_j||^2)``: ``e_j = p . (-2 t_j) + ||t_j||^2``, with
+    ``||p||^2`` left out as it is the same in every column. A row takes the
+    argmin ``c`` of its ``e`` when the second-smallest value exceeds ``e_c``
+    by more than ``2 (E32 + E64)``; any other row is doubtful, and all
+    doubtful rows of the call take their labels from ``_nearest_rows``
+    together.
+
+    With ``r = ||p|| + max ||t||``, ``E64 = 4 (d + 3) eps64 r^2`` is
+    ``BoundedNearest``'s bound on the float64 kernel's rounding, and
+    ``E32 = 4 (d + 3) eps32 r^2 + 4 (d + 3) tiny32 (1 + r)`` bounds
+    ``|e_j - (D_j - ||p||^2)|``, ``D_j`` the true squared distance. With
+    ``u = eps32 / 2``: rounding ``p``, ``t`` and the float64 ``||t||^2`` to
+    float32 moves ``||t||^2 - 2 p.t`` by at most ``(2u + u^2) 2 ||p|| ||t||
+    + u ||t||^2``, and the float32 product of d + 1 terms, in any summation
+    order, adds at most ``(d + 1) u / (1 - (d + 1) u)`` times
+    ``2 ||p|| ||t|| + ||t||^2``. That is under ``(d + 3) u r^2``, an eighth
+    of the first term. The second term floors it for underflow: an input or
+    a product below float32's normal range (``tiny32`` = 2^-126), flushed to
+    zero or not, is off by up to tiny32 instead of relatively, and the other
+    factor's norm scales that. The float64 kernel's own underflow is
+    ~2^-1022 at most.
+
+    Proof for an accepted row: every ``j != c`` has ``D_j - D_c >=
+    (e_j - E32) - (e_c + E32) > 2 E64``, so its float64 distance exceeds
+    ``D_c + E64 >= E64 >= 0``, and so that of column ``c``, which is at most
+    ``D_c + E64``. So ``c`` is the unique float64 argmin and the only column
+    that can round to 0 or below: ``nearest``'s clamping and lowest-index
+    rules both pick it. Exactly tied columns are never accepted, since
+    ``E32 > 0``. The float64 rounding of ``||t||^2``, of the bounds and of
+    the gap is orders of magnitude below the margin.
+
+    A narrower table, or magnitudes that could leave float32 range (checked
+    before any cast), go straight to ``nearest``. No float32 copy of the
+    whole input is made; no more than ``_CHUNK_ENTRIES`` scores exist at once.
+    """
+    n, d = points.shape
+    k = table.shape[0]
+    if k < _SCREEN_MIN_WIDTH or n == 0:
+        return nearest(points, table)[0]
+    table_sq = np.sum(table**2, axis=1)
+    reach = _row_norms(points)
+    reach += np.sqrt(table_sq.max())
+    if not reach.max() < _SCREEN_MAX_REACH:          # NaN goes to nearest too
+        return nearest(points, table)[0]
+    margin = 8.0 * (d + 3) * float(np.finfo(np.float32).eps + np.finfo(np.float64).eps) * reach**2
+    margin += 8.0 * (d + 3) * float(np.finfo(np.float32).tiny) * (1.0 + reach)
+    columns = np.empty((d + 1, k), dtype=np.float32)
+    columns[:d] = table.T
+    columns[:d] *= -2.0
+    columns[d] = table_sq
+    edges = _chunk_edges(n, k)
+    rows = np.empty((max(np.diff(edges)), d + 1), dtype=np.float32)
+    rows[:, d] = 1.0
+    labels = np.empty(n, dtype=np.int64)
+    doubt = []
+    for lo, hi in zip(edges, edges[1:]):
+        block = rows[:hi - lo]
+        block[:, :d] = points[lo:hi]
+        e = block @ columns
+        at = np.arange(hi - lo)
+        j = e.argmin(axis=1)
+        best = e[at, j]
+        e[at, j] = np.inf
+        gap = np.subtract(e.min(axis=1), best, dtype=np.float64)    # inf when k == 1
+        labels[lo:hi] = j
+        doubt.append(lo + np.flatnonzero(~(gap > margin[lo:hi])))
+    doubt = np.concatenate(doubt)
+    if doubt.size:
+        labels[doubt] = _nearest_rows(points, table, doubt)
+    return labels
 
 
 def _dist_columns(points: np.ndarray, neg2_table: np.ndarray, table_sq: np.ndarray) -> np.ndarray:
@@ -143,9 +262,9 @@ class BoundedNearest:
     true one, several times less than E. A skipped point's true distances
     differ by more than 2E, which no rounding within E reorders. A computed
     row is taken only when its second-smallest distance exceeds the smallest
-    by more than 2E; any other is a near-tie, relabelled by ``nearest``
-    itself. The rounding of the bounds themselves is orders of magnitude
-    below the margin.
+    by more than 2E; any other is a near-tie, relabelled by ``_nearest_rows``
+    exactly as ``nearest`` labels it. The rounding of the bounds themselves
+    is orders of magnitude below the margin.
 
     The bounds hold while the same ``points`` object comes back; another one
     (or ``restart``) starts over with every point. ``full_rows`` counts the
@@ -227,7 +346,7 @@ class BoundedNearest:
             return
         self.tie_rows += tie.size
         lower[tie] = 0.0                              # a near-tie stays in doubt
-        labels[tie] = nearest(points, centroids)[0][tie]
+        labels[tie] = _nearest_rows(points, centroids, tie)
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._records import read_json, replacing
 from .embedding import Catalog, float32_rows, float_rows
-from .kmeans import BoundedNearest, balanced_kmeans_fit, kmeans_fit, lloyd, nearest
+from .kmeans import BoundedNearest, balanced_kmeans_fit, kmeans_fit, lloyd, nearest_labels
 from .sids import Sid, SidScheme
 
 _MAGIC = b"SIDF"
@@ -163,14 +163,14 @@ def descend(
     residual = np.array(vectors, dtype=np.float64)
     cols = []
     for table in levels:
-        codes, _ = nearest(residual, table)
+        codes = nearest_labels(residual, table)
         residual -= table[codes]
         cols.append(codes)
     rotated = residual @ opq.rotation
     offset = 0
     for table in opq.subspaces:
         dsub = table.shape[1]
-        cols.append(nearest(rotated[:, offset:offset + dsub], table)[0])
+        cols.append(nearest_labels(rotated[:, offset:offset + dsub], table))
         offset += dsub
     return np.stack(cols, axis=1), residual
 
@@ -220,7 +220,7 @@ def opq_fit(
             if r == 0:
                 tables.append(kmeans_fit(b, codes_per_subspace, iters=kmeans_iters,
                                          seed=seed + s).centroids)
-                codes.append(nearest(b, tables[s])[0])
+                codes.append(nearest_labels(b, tables[s]))
             else:
                 tables[s], labels = _warm_lloyd(b, tables[s], kmeans_iters)
                 codes.append(labels)

@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import float_rows
-from .quantizer import RqOpqCodebook, encode_batch
-from .sids import Sid, SidCatalog
+from .quantizer import RqOpqCodebook, descend
+from .sids import SidCatalog
 
 
 def cur(catalog: SidCatalog, prefix_len: int) -> float:
@@ -64,24 +64,23 @@ def drift_report(
     if baseline.scheme != codebook.scheme:
         raise ValueError(f"baseline {baseline.scheme} is not the codebook's {codebook.scheme}")
 
-    def key(sid: Sid):
-        return sid.digits if use_opq else sid.rq
-
-    counts = Counter(key(sid) for sid in baseline.entries.values())
+    n_rq = len(codebook.rq.levels)
+    counts = Counter(sid.digits if use_opq else sid.rq for sid in baseline.entries.values())
     total = len(baseline)
     steps: list[DriftStep] = []
     for b, batch in enumerate(batches):
-        sids = encode_batch(float_rows(batch, f"batch {b}", codebook.dim), codebook)
-        keys = [key(sid) for sid in sids]
+        codes, _ = descend(codebook.rq.levels, codebook.opq,
+                           float_rows(batch, f"batch {b}", codebook.dim))
+        keys = list(map(tuple, (codes if use_opq else codes[:, :n_rq]).tolist()))
         hits = sum(1 for k in keys if k in counts)      # codes taken before the batch
         counts.update(keys)
-        total += len(sids)
+        total += len(keys)
         unique = sum(c for c in counts.values() if c == 1)
         steps.append(DriftStep(
             batch_index=b,
-            batch_size=len(sids),
+            batch_size=len(keys),
             cumulative_size=total,
             icr=unique / total,
-            occupied_ratio=hits / len(sids),
+            occupied_ratio=hits / len(keys),
         ))
     return steps

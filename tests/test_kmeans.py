@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sidforge import kmeans
 from sidforge.kmeans import (
     BoundedNearest,
     _balanced_assign,
+    _nearest_rows,
     _repair_empty,
     _sq_dists,
     _update_means,
@@ -18,6 +20,7 @@ from sidforge.kmeans import (
     kmeanspp_seed,
     lloyd,
     nearest,
+    nearest_labels,
 )
 from sidforge.quantizer import fit_codebook, opq_fit
 
@@ -143,6 +146,127 @@ class TestNearest:
     def test_empty_input(self):
         idx, dist = nearest(np.zeros((0, 3)), np.ones((4, 3)))
         assert idx.shape == (0,) and dist.shape == (0,)
+
+
+def tied_table(rng, k, d, distinct):
+    """A (k, d) table of ``distinct`` rows repeated in scattered order, and
+    points on and near them: every point has several exactly tied centroids."""
+    base = rng.normal(size=(distinct, d))
+    table = base[rng.integers(distinct, size=k)]
+    points = table[rng.integers(k, size=900)] + rng.normal(scale=1e-8, size=(900, d))
+    return points, table
+
+
+class TestNearestRows:
+    @pytest.mark.parametrize("d, k", [(33, 597), (32, 1021), (16, 512), (13, 517)])
+    def test_rows_round_as_in_their_own_chunk(self, d, k):
+        # a table width that is no multiple of the BLAS column tile rounds the
+        # last columns by row place, so duplicates of a tied centroid there
+        # order differently in another place or another block size
+        rng = np.random.default_rng(d * k)
+        points, table = tied_table(rng, k, d, max(1, k // 3))
+        picked = np.sort(rng.choice(900, size=300, replace=False))
+        for rows in (np.arange(900), picked, picked[-1:], picked[:1]):
+            assert np.array_equal(_nearest_rows(points, table, rows), nearest(points, table)[0][rows])
+
+    @pytest.mark.parametrize("entries", [1, 16, 37 * 23], ids=["one-row", "few-rows", "ragged"])
+    def test_small_and_ragged_chunks(self, monkeypatch, entries):
+        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", entries)
+        rng = np.random.default_rng(entries)
+        points, table = tied_table(rng, 37, 9, 5)
+        rows = np.sort(rng.choice(900, size=200, replace=False))
+        assert np.array_equal(_nearest_rows(points, table, rows), nearest(points, table)[0][rows])
+
+
+def _screen_case(rng, n, k, d, kind):
+    table = rng.normal(size=(k, d))
+    if kind in ("duplicate", "near-duplicate"):
+        table = table[rng.integers(max(1, k // 3), size=k)]
+    if kind == "near-duplicate":
+        table = table + rng.normal(scale=1e-7, size=(k, d))
+    if kind == "random":
+        points = rng.normal(size=(n, d))
+    else:
+        points = table[rng.integers(k, size=n)]
+        if kind != "on-centroids":
+            points = points + rng.normal(scale=1e-3, size=(n, d))
+    if kind == "zeros":
+        points[rng.random(n) < 0.5] = 0.0
+    return points, table
+
+
+class TestNearestLabels:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, 2]) | st.integers(min_value=0, max_value=300),
+        k=st.sampled_from([511, 512, 513]) | st.integers(min_value=1, max_value=40),
+        d=st.integers(min_value=1, max_value=9),
+        kind=st.sampled_from(["random", "duplicate", "near-duplicate", "on-centroids", "zeros"]),
+        exponent=st.integers(min_value=-30, max_value=20),
+        entries=st.sampled_from([1 << 18, 37 * 23, 1]),
+        screen_all=st.booleans(),
+        sliced=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_equals_nearest(self, n, k, d, kind, exponent, entries, screen_all, sliced, seed):
+        # scales from 1e-30 to past the float32 guard (2^50 ~ 1.1e15); the
+        # suite's warning filter turns any overflow RuntimeWarning into a failure
+        rng = np.random.default_rng(seed)
+        points, table = _screen_case(rng, n, k, d, kind)
+        points, table = points * 10.0**exponent, table * 10.0**exponent
+        if sliced:  # an OPQ subspace: a column slice of a wider array
+            points = np.concatenate([rng.normal(size=(n, 2)), points], axis=1)[:, 2:]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmeans, "_CHUNK_ENTRIES", entries)
+            if screen_all:
+                mp.setattr(kmeans, "_SCREEN_MIN_WIDTH", 1)
+            got = nearest_labels(points, table)
+            assert np.array_equal(got, nearest(points, table)[0])
+
+    def test_doubtful_rows_take_the_fallback(self, monkeypatch):
+        # rows 500..509 repeat rows 0..9: a point nearest one of those has an
+        # exact tie, every other a clear winner
+        rng = np.random.default_rng(50)
+        table = rng.normal(scale=10.0, size=(512, 8))
+        table[500:510] = table[:10]
+        points = table[rng.integers(500, size=900)] + rng.normal(scale=0.01, size=(900, 8))
+        calls = []
+        monkeypatch.setattr(kmeans, "_nearest_rows",
+                            lambda p, t, rows: calls.append(rows) or _nearest_rows(p, t, rows))
+        labels = nearest_labels(points, table)
+        assert np.array_equal(labels, nearest(points, table)[0])
+        (rows,) = calls
+        assert rows.tolist() == np.flatnonzero(labels < 10).tolist()
+        assert rows.size > 0
+
+    def test_clear_rows_compute_no_float64_distances(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        table = rng.normal(scale=10.0, size=(1024, 16))
+        points = table[rng.integers(1024, size=2000)] + rng.normal(scale=0.1, size=(2000, 16))
+        monkeypatch.setattr(kmeans, "_dist_block", None)       # any float64 block fails
+        assert np.array_equal(nearest_labels(points, table),
+                              one_shot_nearest(points, table)[0])
+
+    @pytest.mark.parametrize("scale", [1e14, 1e16, 1e60, 1e100])
+    def test_large_magnitudes_raise_no_overflow(self, scale):
+        # 1e14 is screened; a float32 cast of the rest would overflow
+        rng = np.random.default_rng(52)
+        table = rng.normal(scale=scale, size=(512, 4))
+        points = table[rng.integers(512, size=300)] * 0.999
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(nearest_labels(points, table), nearest(points, table)[0])
+
+    def test_narrow_tables_go_to_nearest(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        points, table = rng.normal(size=(300, 4)), rng.normal(size=(511, 4))
+        monkeypatch.setattr(kmeans, "_row_norms", None)        # the screen's first step
+        assert np.array_equal(nearest_labels(points, table), nearest(points, table)[0])
+
+    def test_golden_fits_hold_with_every_table_screened(self, monkeypatch):
+        monkeypatch.setattr(kmeans, "_SCREEN_MIN_WIDTH", 1)
+        TestLloydFitGolden().test_warm_heavy_opq_fit_bytes()
+        TestBalancedFitGolden().test_small_balanced_fit_codebook_bytes()
 
 
 class TestUpdateMeans:
@@ -338,6 +462,17 @@ class TestBoundedNearest:
         assert np.array_equal(step(a, table), nearest(a, table)[0])
         assert np.array_equal(step(b, table), nearest(b, table)[0])
         assert step.full_rows == 160
+
+    @pytest.mark.parametrize("d, k", [(33, 597), (4, 37)])
+    def test_duplicate_centroids_take_near_ties_from_exact_rows(self, monkeypatch, d, k):
+        rng = np.random.default_rng(d + k)
+        points, table = tied_table(rng, k, d, max(1, k // 3))
+        calls = []
+        monkeypatch.setattr(kmeans, "_nearest_rows",
+                            lambda p, t, rows: calls.append(rows) or _nearest_rows(p, t, rows))
+        step = BoundedNearest()
+        assert np.array_equal(step(points, table), nearest(points, table)[0])
+        assert step.tie_rows == sum(rows.size for rows in calls) > 0
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import descend_oracle
+from sidforge import kmeans
 from sidforge.quantizer import (
     OpqCodebook,
     RqCodebook,
@@ -205,6 +207,60 @@ class TestEncode:
         assert len(sids) == 20_000
         # one full 20000 x 4096 float64 distance matrix alone is 655 MB
         assert peak < 64 * 2**20
+
+
+def paper_codebook(rng, dim=32):
+    """Random tables at the paper's width: levels 4096/1024/512, OPQ 2x256."""
+    levels = [rng.normal(scale=s, size=(k, dim)) for k, s in ((4096, 10.0), (1024, 2.5), (512, 0.6))]
+    rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    subspaces = [rng.normal(scale=0.15, size=(256, dim // 2)) for _ in range(2)]
+    return RqOpqCodebook(RqCodebook(levels, (4096, 1024, 512), True),
+                         OpqCodebook(rotation, subspaces))
+
+
+class TestScreenedDescend:
+    """``descend`` at the paper's width equals the all-``nearest`` oracle."""
+
+    @pytest.fixture(scope="class")
+    def paper(self):
+        rng = np.random.default_rng(60)
+        cb = paper_codebook(rng)
+        vecs = rng.normal(scale=0.1, size=(3000, 32))
+        for table in cb.rq.levels:
+            vecs += table[rng.integers(table.shape[0], size=3000)]
+        vecs[::10] = vecs[1::10]                       # re-listed items
+        return cb, vecs
+
+    def _fallback_rows(self, monkeypatch, cb, vecs):
+        """Asserts equal codes and residuals; returns how many rows the
+        screen left to the float64 kernel."""
+        exact, rows = kmeans._nearest_rows, []
+        monkeypatch.setattr(kmeans, "_nearest_rows",
+                            lambda p, t, r: rows.append(r.size) or exact(p, t, r))
+        codes, residual = descend(cb.rq.levels, cb.opq, vecs)
+        ref_codes, ref_residual = descend_oracle.descend(cb.rq.levels, cb.opq, vecs)
+        assert np.array_equal(codes, ref_codes)
+        assert np.array_equal(residual, ref_residual)
+        return sum(rows)
+
+    def test_clustered_codes_equal_the_oracle(self, monkeypatch, paper):
+        cb, vecs = paper
+        # the screen settles almost every row of the three levels
+        assert self._fallback_rows(monkeypatch, cb, vecs) < 0.01 * 3 * len(vecs)
+
+    def test_unclustered_codes_equal_the_oracle(self, monkeypatch, paper):
+        cb, _ = paper
+        vecs = np.random.default_rng(61).normal(scale=10.0, size=(2000, 32))
+        self._fallback_rows(monkeypatch, cb, vecs)
+
+    def test_tied_codes_equal_the_oracle(self, monkeypatch):
+        # every level repeats its first rows: points on them tie exactly
+        rng = np.random.default_rng(62)
+        cb = paper_codebook(rng)
+        for table in cb.rq.levels:
+            table[-40:] = table[:40]
+        vecs = np.sum([t[rng.integers(40, size=1500)] for t in cb.rq.levels], axis=0)
+        assert self._fallback_rows(monkeypatch, cb, vecs) >= 1500
 
 
 class TestNonFiniteRejected:

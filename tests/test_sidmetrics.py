@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sidforge.quantizer import encode_batch, fit_codebook
-from sidforge.sidmetrics import cur, drift_report, icr
+from sidforge.sidmetrics import DriftStep, cur, drift_report, icr
 from sidforge.sids import Sid, SidCatalog, SidScheme
 
 SCHEME3 = SidScheme((4, 4, 4))
@@ -125,6 +125,30 @@ class TestDriftReport:
             fresh = SidCatalog(cumulative, cb.scheme)
             assert step.icr == pytest.approx(icr(fresh, use_opq=True))
             assert step.cumulative_size == len(cumulative)
+
+    @pytest.mark.parametrize("use_opq", [True, False])
+    def test_steps_equal_per_sid_counting(self, fitted, use_opq):
+        cb, baseline, vecs = fitted
+        rng = np.random.default_rng(5)
+        batches = [vecs[rng.integers(48, size=9)], rng.normal(0, 10, size=(15, 4)), vecs[:3]]
+        key = (lambda sid: sid.digits) if use_opq else (lambda sid: sid.rq)
+        counts = Counter(key(sid) for sid in baseline.entries.values())
+        total, expected = len(baseline), []
+        for b, batch in enumerate(batches):
+            keys = [key(sid) for sid in encode_batch(batch, cb)]
+            hits = sum(k in counts for k in keys)
+            counts.update(keys)
+            total += len(keys)
+            unique = sum(c for c in counts.values() if c == 1)
+            expected.append(DriftStep(b, len(keys), total, unique / total, hits / len(keys)))
+        assert drift_report(cb, baseline, batches, use_opq=use_opq) == expected
+
+    def test_bad_batch_named(self, fitted):
+        cb, baseline, vecs = fitted
+        bad = vecs[:4].copy()
+        bad[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"batch 1 row 2 holds a non-finite value"):
+            drift_report(cb, baseline, [vecs[:4], bad])
 
     def test_empty_batch_rejected(self, fitted):
         cb, baseline, _ = fitted
