@@ -64,10 +64,8 @@ def _chunk_edges(n: int, width: int) -> list[int]:
     rows (at least one): chunk ``c`` is rows ``edges[c]:edges[c + 1]``.
 
     Equal chunks leave no small remainder: BLAS may take another code path
-    for a product of a few rows and round it differently. Large chunks round
-    as one product over all rows, except where the table's width is no
-    multiple of the BLAS column tile: there a row's last columns round by
-    its place in the product, which ``_nearest_rows`` reproduces.
+    for a product of a few rows and round it differently, while large chunks
+    round exactly as one product over all rows.
     """
     chunks = -(-n // max(1, _CHUNK_ENTRIES // width))
     return [c * n // chunks for c in range(chunks + 1)] if chunks else [0]
@@ -107,32 +105,18 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _nearest_rows(points: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``nearest(points, table)[0][rows]``, computing only those rows.
-
-    A row's bits in a BLAS product depend on the product's shape and on the
-    row's place in it (edge tiles may take other kernels, which round the
-    last columns differently), not on the other rows. So each row goes
-    through at its place in ``nearest``'s chunk, in a block with that
-    chunk's row count whose other places are zero; rows at distinct places
-    of equal-sized chunks share a block.
+    """``nearest(points, table)[0][rows]``, recomputing only the
+    ``_chunk_edges`` chunks that hold those rows, each with the same call
+    ``nearest`` makes for it.
     """
     edges = np.array(_chunk_edges(points.shape[0], table.shape[0]))
-    chunk = np.searchsorted(edges, rows, side="right") - 1
-    size = edges[chunk + 1] - edges[chunk]
-    place = rows - edges[chunk]
-    slot = 2 * place + (size > size.min())        # chunks have one of two row counts
-    order = np.argsort(slot, kind="stable")
-    rank = np.empty(rows.size, dtype=np.int64)    # earlier rows in the same slot
-    rank[order] = np.arange(rows.size) - np.searchsorted(slot[order], slot[order])
-    group = 2 * rank + slot % 2
-    order = np.argsort(group, kind="stable")
+    chunks, chunk = np.unique(np.searchsorted(edges, rows, side="right") - 1, return_inverse=True)
     neg2_table_t = (-2.0 * table).T
     table_sq = np.sum(table**2, axis=1)
     labels = np.empty(rows.size, dtype=np.int64)
-    for sel in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
-        block = np.zeros((size[sel[0]], points.shape[1]))
-        block[place[sel]] = points[rows[sel]]
-        labels[sel] = _block_nearest(_dist_block(block, neg2_table_t, table_sq))[0][place[sel]]
+    for c, (lo, hi) in enumerate(zip(edges[chunks], edges[chunks + 1])):
+        sel = chunk == c
+        labels[sel] = _block_nearest(_dist_block(points[lo:hi], neg2_table_t, table_sq))[0][rows[sel] - lo]
     return labels
 
 

@@ -159,14 +159,11 @@ def tied_table(rng, k, d, distinct):
 
 class TestNearestRows:
     @pytest.mark.parametrize("d, k", [(33, 597), (32, 1021), (16, 512), (13, 517)])
-    def test_rows_round_as_in_their_own_chunk(self, d, k):
-        # a table width that is no multiple of the BLAS column tile rounds the
-        # last columns by row place, so duplicates of a tied centroid there
-        # order differently in another place or another block size
+    def test_rows_match_nearest_on_tied_tables(self, d, k):
         rng = np.random.default_rng(d * k)
         points, table = tied_table(rng, k, d, max(1, k // 3))
         picked = np.sort(rng.choice(900, size=300, replace=False))
-        for rows in (np.arange(900), picked, picked[-1:], picked[:1]):
+        for rows in (np.arange(900), picked, picked[::-1], picked[-1:], picked[:1]):
             assert np.array_equal(_nearest_rows(points, table, rows), nearest(points, table)[0][rows])
 
     @pytest.mark.parametrize("entries", [1, 16, 37 * 23], ids=["one-row", "few-rows", "ragged"])
@@ -176,6 +173,20 @@ class TestNearestRows:
         points, table = tied_table(rng, 37, 9, 5)
         rows = np.sort(rng.choice(900, size=200, replace=False))
         assert np.array_equal(_nearest_rows(points, table, rows), nearest(points, table)[0][rows])
+
+    def test_only_chunks_holding_rows_are_computed(self, monkeypatch):
+        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", 37 * 100)
+        rng = np.random.default_rng(7)
+        points, table = tied_table(rng, 37, 9, 5)
+        edges = kmeans._chunk_edges(900, 37)
+        blocks = []
+        dist_block = kmeans._dist_block
+        monkeypatch.setattr(kmeans, "_dist_block",
+                            lambda p, t, sq: blocks.append(p.shape[0]) or dist_block(p, t, sq))
+        rows = np.array([edges[3] + 1, edges[1], edges[3]])
+        labels = _nearest_rows(points, table, rows)
+        assert blocks == [edges[2] - edges[1], edges[4] - edges[3]]
+        assert np.array_equal(labels, nearest(points, table)[0][rows])
 
 
 def _screen_case(rng, n, k, d, kind):
