@@ -1,5 +1,6 @@
 """The one reader and the one writer behind every file. A bad record raises
-``ValueError("<path>:<line>: ...")``; a bad file ``ValueError("<path>: ...")``."""
+``ValueError("<path>:<line>: ...")``; a bad file ``ValueError("<path>: ...")``,
+both as :class:`LocatedError`."""
 
 from __future__ import annotations
 
@@ -11,11 +12,17 @@ from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator
 
 
-def _error(where: object, exc: Exception) -> ValueError:
+class LocatedError(ValueError):
+    """A ``ValueError`` whose message already starts with the file, and line or
+    record, it is about: :func:`write_records` passes it through unchanged, so
+    an input read lazily while its rows are written keeps its own location."""
+
+
+def _error(where: object, exc: Exception) -> LocatedError:
     if isinstance(exc, UnicodeDecodeError):
-        return ValueError(f"{where}: not UTF-8 text ({exc.reason})")
+        return LocatedError(f"{where}: not UTF-8 text ({exc.reason})")
     detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-    return ValueError(f"{where}: {detail}")
+    return LocatedError(f"{where}: {detail}")
 
 
 def _json_object(text: str) -> dict:
@@ -34,14 +41,21 @@ def id_list(value: Any) -> list[str]:
 
 def read_records(path: str | Path, parse: Callable[..., Any], *, fields: int = 0,
                  jsonl: bool = False, header: Callable[[str], Any] | None = None) -> list:
-    """``parse`` applied to each non-blank line of a UTF-8 file, in order.
+    """``parse`` applied to each non-blank line of a UTF-8 file, in order: the
+    list of :func:`iter_records`."""
+    return list(iter_records(path, parse, fields=fields, jsonl=jsonl, header=header))
+
+
+def iter_records(path: str | Path, parse: Callable[..., Any], *, fields: int = 0,
+                 jsonl: bool = False, header: Callable[[str], Any] | None = None) -> Iterator:
+    """``parse`` applied to each non-blank line of a UTF-8 file, yielded in
+    order as the file is read.
 
     TSV lines lose only their trailing newline; with ``fields`` a line must
     have exactly that many tab-separated fields, passed to ``parse`` as
     arguments. JSONL lines are stripped and ``parse`` gets each one's JSON
     object. ``header`` gets line 1 as it is, blank or not.
     """
-    out = []
     line_no = 0
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -53,19 +67,19 @@ def read_records(path: str | Path, parse: Callable[..., Any], *, fields: int = 0
                 if not line:
                     continue
                 if jsonl:
-                    out.append(parse(_json_object(line)))
+                    record = parse(_json_object(line))
                 elif fields:
                     parts = line.split("\t")
                     if len(parts) != fields:
                         raise ValueError(f"expected {fields} fields, got {len(parts)}")
-                    out.append(parse(*parts))
+                    record = parse(*parts)
                 else:
-                    out.append(parse(line))
+                    record = parse(line)
+                yield record
         except UnicodeDecodeError as exc:  # decoded in blocks: the line is unknown
             raise _error(path, exc) from None
         except (ValueError, KeyError, TypeError) as exc:
             raise _error(f"{path}:{line_no}", exc) from None
-    return out
 
 
 def read_json(path: str | Path, parse: Callable[[dict], Any]) -> Any:
@@ -100,8 +114,9 @@ def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = Fals
     fields, a JSONL row is an object dumped with sorted keys and no spaces. A
     field holding a tab, CR or LF, or a ``ValueError``, ``TypeError`` or
     ``KeyError`` from making or writing a row, raises
-    ``ValueError("<path>:<record>: ...")``; any other exception,
-    ``KeyboardInterrupt`` included, propagates unchanged."""
+    ``ValueError("<path>:<record>: ...")``; any other exception, a
+    :class:`LocatedError` and ``KeyboardInterrupt`` included, propagates
+    unchanged."""
     record = 1
     with contextlib.nullcontext(sys.stdout) if path is None else replacing(path) as f:
         try:
@@ -114,5 +129,7 @@ def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = Fals
                         raise ValueError(f"a field holds a tab, CR or LF: {row!r}")
                 f.write(line + "\n")
                 record += 1
+        except LocatedError:
+            raise
         except (ValueError, TypeError, KeyError) as exc:
             raise _error(f"{'<stdout>' if path is None else path}:{record}", exc) from None

@@ -10,13 +10,14 @@ import argparse
 import itertools
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import curriculum as curr
 from . import evalharness as ev
 from . import reward as rw
-from ._records import id_list, read_json, read_records, write_records
+from ._records import id_list, iter_records, read_json, read_records, write_records
 from .embedding import (
     Catalog,
     cosine_filter,
@@ -26,7 +27,7 @@ from .embedding import (
     save_catalog,
     write_pairs,
 )
-from .generator import CooccurrenceScorer, beam_search, build_trie, cooccurrence_fit
+from .generator import CooccurrenceScorer, beam_search, build_trie, cooccurrence_fit_blocks
 from .identity import (
     BehaviorSequence,
     ClickStat,
@@ -220,34 +221,64 @@ def _read_tsv_map(path: str) -> dict[str, str]:
     return dict(read_records(path, entry))
 
 
-def _read_sessions(path: str, item_sids: dict, query_sids: dict) -> list[curr.Session]:
-    """Stage-3 sessions; one whose queries or items have no SID is left out."""
+def _read_sessions(path: str, item_rows: dict[str, int], query_sids: dict[str, str],
+                   stats: curr.StageStats) -> Iterator[tuple]:
+    """Stage-3 sessions, read as they are needed, as the id rows
+    :func:`curriculum.stage3_blocks` renders: ``item_rows`` maps an item id
+    to its SID's row and ``query_sids`` a query id to its rendered SID. A
+    session whose queries or items have no SID is left out; one over a
+    length cap is counted in ``stats.skipped``."""
 
-    def session(obj: dict) -> curr.Session | None:
-        session_id, query_id, clicked = obj["session_id"], obj["query_id"], obj["clicked_item"]
+    def session(obj: dict) -> tuple | None:
+        # a session id is required, though the records do not name it
+        _, query_id, clicked = obj["session_id"], obj["query_id"], obj["clicked_item"]
         short_ids = id_list(obj.get("short_clicks", []))
         long_ids = id_list(obj.get("long_clicks", []))
         recent_ids = id_list(obj.get("recent_queries", []))
         ref = obj.get("aggregate_ref")
         if ref is not None and (not isinstance(ref, str) or ref.split() != [ref]):
             raise ValueError(f"aggregate_ref must be one token without whitespace, got {ref!r}")
-        query_text = obj.get("query_text", query_id)
-        query_words(query_text)
+        words = query_words(obj.get("query_text", query_id))
         try:
-            return curr.Session(
-                session_id=session_id,
-                query_text=query_text,
-                query_sid=query_sids[query_id],
-                clicked_sid=item_sids[clicked],
-                short_clicks=tuple(item_sids[i] for i in short_ids),
-                long_clicks=tuple(item_sids[i] for i in long_ids),
-                recent_queries=tuple(query_sids[q] for q in recent_ids),
-                aggregate_ref=ref,
-            )
+            query = query_sids[query_id]
+            clicks = curr.click_sequences([item_rows[i] for i in short_ids], item_rows[clicked],
+                                          [item_rows[i] for i in long_ids])
+            recent = [query_sids[q] for q in recent_ids]
         except KeyError:
             return None
+        if clicks is None:
+            stats.skipped += 1
+            return None
+        return (words, query, recent, *clicks, curr.aggregate_end(ref))
 
-    return [s for s in read_records(path, session, jsonl=True) if s is not None]
+    return (s for s in iter_records(path, session, jsonl=True) if s is not None)
+
+
+def _write_stage3(args) -> tuple[int, curr.StageStats]:
+    """The stage-3 text rows of ``args.sessions``, as write_task_records would
+    write them, written to ``args.out`` block by block; the number of rows
+    and the stats."""
+    codebook = load_codebook(args.codebook)
+    scheme = codebook.scheme
+    table = curr.SidRows(scheme)
+    item_rows = {item_id: table.add(sid) for item_id, sid in read_sid_file(args.sids, scheme)}
+    query_sids = {query_id: table.texts[table.add(sid)]
+                  for query_id, sid in read_sid_file(args.query_sids, scheme)}
+    stats = curr.StageStats()
+    blocks = curr.stage3_blocks(_read_sessions(args.sessions, item_rows, query_sids, stats),
+                                table, args.max_window, stats)
+    # a kept session's checks run on the first block: when they fail, --out is not opened
+    first = next(blocks, [])
+    written = 0
+
+    def rows() -> Iterator[tuple[str, str, str, str]]:
+        nonlocal written
+        for block in itertools.chain([first], blocks):
+            written += len(block)
+            yield from block
+
+    write_records(args.out, rows())
+    return written, stats
 
 
 def _require(args, names) -> None:
@@ -274,25 +305,20 @@ def cmd_curriculum(args) -> None:
         records, stats = curr.build_stage2(pairs, sids.entries, texts)
     else:
         _require(args, ["sessions", "sids", "query-sids", "codebook"])
-        codebook = load_codebook(args.codebook)
-        scheme = codebook.scheme
-        item_sids = read_sid_file(args.sids, scheme).entries
-        query_sids = read_sid_file(args.query_sids, scheme).entries
-        sessions = _read_sessions(args.sessions, item_sids, query_sids)
-        records, stats = curr.stage3_rows(sessions, codebook, max_window=args.max_window)
-    if args.stage == 3:  # text rows, as write_task_records would write them
-        write_records(args.out, records)
-    else:
+        written, stats = _write_stage3(args)
+    if args.stage != 3:
         curr.write_task_records(records, args.out)
-    sys.stdout.write(f"records={len(records)} skipped={stats.skipped}\n")
+        written = len(records)
+    sys.stdout.write(f"records={written} skipped={stats.skipped}\n")
 
 
 def cmd_fit_scorer(args) -> None:
     scheme = _scheme_from_args(args)
-    codes = curr.read_stage3_codes(args.records, scheme)
-    if len(codes) == 0:
+    blocks = curr.stage3_code_blocks(args.records, scheme)
+    first = next(blocks, None)
+    if first is None:
         raise ValueError(f"{args.records}: no stage-3 records to fit a scorer on")
-    cooccurrence_fit(codes, scheme).save(args.out)
+    cooccurrence_fit_blocks(itertools.chain([first], blocks), scheme).save(args.out)
 
 
 def _load_scorer(path: str, scheme: SidScheme, source: str) -> CooccurrenceScorer:

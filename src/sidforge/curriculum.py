@@ -8,19 +8,21 @@ prefixes every input so one trainer can multiplex tasks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._records import read_records, write_records
+from ._records import iter_records, read_records, write_records
 from .identity import (
     MAX_SEQUENCE_LENGTH,
+    PromptHeads,
     check_user_parts,
-    prompt_fields,
     prompt_head,
     prompt_text,
+    query_words,
     user_parts,
 )
 from .quantizer import RqOpqCodebook
@@ -192,14 +194,28 @@ def stage3_rows(
     cap, is skipped; a codebook without 5-digit SIDs, or an aggregate
     reference holding whitespace, raises ``ValueError``.
 
-    Each distinct SID is validated and rendered once per call, the user
-    parts of all sessions come from one :func:`user_parts` call, and each
-    session's prompt head is joined once for all of its windows.
+    The sessions become the id rows of :func:`stage3_blocks`, which renders
+    them: each distinct click SID is validated and rendered once per call.
     """
-    scheme = codebook.scheme
+    table = SidRows(codebook.scheme)
+    stats = StageStats()
+    kept: list[tuple[Session, list[int], list[int]]] = []
+    for sess in sessions:
+        clicks = click_sequences(list(sess.short_clicks), sess.clicked_sid, list(sess.long_clicks))
+        if clicks is not None:
+            short, long = clicks
+            try:
+                short_rows = [table.add(sid) for sid in short]
+                long_rows = short_rows if long is short else [table.add(sid) for sid in long]
+            except ValueError:  # an invalid click SID
+                clicks = None
+        if clicks is None:
+            stats.skipped += 1
+        else:
+            kept.append((sess, short_rows, long_rows))
+    if kept:  # these raise before any query text or aggregate reference is checked
+        _check_sessions(codebook.scheme, max_window)
     rendered: dict[Sid, str] = {}
-    rows: dict[Sid, int] = {}  # valid click SID -> its row of `digits`
-    digits: list[tuple[int, ...]] = []
 
     def render(sid: Sid) -> str:
         text = rendered.get(sid)
@@ -207,62 +223,123 @@ def stage3_rows(
             text = rendered[sid] = sid.render()
         return text
 
-    def click_rows(sids: Sequence[Sid]) -> list[int]:
-        out = []
-        for sid in sids:
-            row = rows.get(sid)
-            if row is None:
-                scheme.validate(sid)
-                row = rows[sid] = len(digits)
-                digits.append(sid.digits)
-            out.append(row)
-        return out
+    id_rows = ((query_words(sess.query_text), render(sess.query_sid),
+                [render(sid) for sid in sess.recent_queries], short_rows, long_rows,
+                aggregate_end(sess.aggregate_ref)) for sess, short_rows, long_rows in kept)
+    return [row for block in stage3_blocks(id_rows, table, max_window, stats)
+            for row in block], stats
 
-    stats = StageStats()
-    kept: list[tuple[Session, list[Sid]]] = []
-    sequences: list[list[int]] = []  # short, then long click rows of each kept session
-    for sess in sessions:
-        effective = list(sess.short_clicks)
-        if not effective or effective[-1] != sess.clicked_sid:
-            effective.append(sess.clicked_sid)
-        long_items = sess.long_clicks or effective
-        if (len(effective) > MAX_SEQUENCE_LENGTH["short_click"]
-                or len(long_items) > MAX_SEQUENCE_LENGTH["long_click"]):
-            stats.skipped += 1
-            continue
+
+# Sessions in one block of stage3_blocks, and records in one block of
+# stage3_code_blocks: what stage 3 and the scorer fit hold at once.
+_BLOCK = 4096
+
+
+class SidRows:
+    """Distinct SIDs numbered in first-seen order, each validated against
+    ``scheme`` and rendered once: SID ``row`` renders as ``texts[row]`` and
+    its digits are row ``row`` of :meth:`digits`."""
+
+    def __init__(self, scheme: SidScheme):
+        self.scheme = scheme
+        self.texts: list[str] = []
+        self._rows: dict[Sid, int] = {}
+        self._digits: list[tuple[int, ...]] = []
+
+    def add(self, sid: Sid) -> int:
+        """The row of ``sid``; an invalid one raises ``ValueError``."""
+        row = self._rows.get(sid)
+        if row is None:
+            self.scheme.validate(sid)
+            row = self._rows[sid] = len(self.texts)
+            self.texts.append(sid.render())
+            self._digits.append(sid.digits)
+        return row
+
+    def digits(self) -> np.ndarray:
+        """The ``(rows, L)`` float table :func:`user_parts` weights."""
+        return np.array(self._digits, dtype=np.float64).reshape(len(self._digits),
+                                                                self.scheme.length)
+
+
+def click_sequences(short: list, clicked, long: list) -> tuple[list, list] | None:
+    """A session's effective short sequence, its short clicks followed by the
+    clicked item unless they already end with it, and its long sequence,
+    which is the short one when ``long`` is empty; None when either is over
+    its length cap."""
+    if not short or short[-1] != clicked:
+        short = [*short, clicked]
+    long = long or short
+    if (len(short) > MAX_SEQUENCE_LENGTH["short_click"]
+            or len(long) > MAX_SEQUENCE_LENGTH["long_click"]):
+        return None
+    return short, long
+
+
+def aggregate_end(ref: str | None) -> str:
+    """What a session's aggregate reference adds at the end of each of its
+    stage-3 inputs: nothing, or a space and its ``agg:`` token."""
+    if ref is None:
+        return ""
+    token = f"{AGGREGATE_PREFIX}{ref}"
+    if token.split() != [token]:  # the written record would not read back
+        raise ValueError(f"aggregate_ref must be one token without whitespace, got {ref!r}")
+    return f" {token}"
+
+
+def _check_sessions(scheme: SidScheme, max_window: int) -> None:
+    """The checks stage 3 makes once it keeps a session."""
+    check_user_parts(scheme.sizes, scheme.sizes)  # a part has a digit per position
+    _check_window(max_window)
+
+
+def stage3_blocks(
+    sessions: Iterable[tuple],
+    table: SidRows,
+    max_window: int,
+    stats: StageStats,
+) -> Iterator[list[tuple[str, str, str, str]]]:
+    """The text rows of :func:`stage3_rows`, one list per block of ``_BLOCK``
+    kept sessions, so memory holds one block whatever the input's length.
+
+    Each session comes as id rows: ``(query words, query SID text, recent
+    query SID texts, short rows, long rows, aggregate end)``, the words
+    checked by :func:`query_words`, the sequences as :func:`click_sequences`
+    gives them in rows of ``table`` and the end as :func:`aggregate_end`
+    gives it. The user parts of a block come from one :func:`user_parts`
+    call, and each session's prompt head is joined once for all of its
+    windows. ``stats.emitted`` counts the sessions.
+
+    The checks of a kept session run on the first one; when they fail, the
+    rest of ``sessions`` is read before they raise, so a fault the reader
+    finds further on is still the one raised.
+    """
+    sessions = iter(sessions)
+    digits, texts = table.digits(), table.texts
+    tag = f"{TASK_TAGS['personalization']} "
+    block = list(itertools.islice(sessions, _BLOCK))
+    if block:
         try:
-            short_rows = click_rows(effective)
-            long_rows = click_rows(long_items) if sess.long_clicks else short_rows
+            _check_sessions(table.scheme, max_window)
         except ValueError:
-            stats.skipped += 1
-            continue
-        kept.append((sess, effective))
-        sequences += [short_rows, long_rows]
-
-    table = np.array(digits, dtype=np.float64).reshape(len(digits), scheme.length)
-    parts = user_parts(sequences, table, scheme.sizes)
-    if kept:  # a codebook without 5-digit SIDs fails here, as UserSid would
-        check_user_parts(parts[0], parts[1])
-        _check_window(max_window)
-    groups = [",".join(map(str, part)) for part in parts.tolist()]
-    out: list[tuple[str, str, str, str]] = []
-    for (sess, effective), short_group, long_group in zip(kept, groups[0::2], groups[1::2]):
-        head = f"{TASK_TAGS['personalization']} " + prompt_head(
-            (short_group, long_group), sess.query_text, render(sess.query_sid),
-            [render(sid) for sid in sess.recent_queries])
-        end = ""
-        if sess.aggregate_ref is not None:
-            token = f"{AGGREGATE_PREFIX}{sess.aggregate_ref}"
-            if token.split() != [token]:  # the written record would not read back
-                raise ValueError("aggregate_ref must be one token without whitespace, "
-                                 f"got {sess.aggregate_ref!r}")
-            end = f" {token}"
-        clicks = [render(sid) for sid in effective]
-        for t, target in enumerate(clicks):  # the first record has no window
-            window = " ".join(clicks[max(0, t - max_window):t])
-            out.append(("3", "personalization", prompt_text(head, window) + end, target))
-        stats.emitted += 1
-    return out, stats
+            for _ in sessions:
+                pass
+            raise
+    while block:
+        parts = user_parts([seq for sess in block for seq in sess[3:5]], digits,
+                           table.scheme.sizes)
+        groups = [",".join(map(str, part)) for part in parts.tolist()]
+        rows: list[tuple[str, str, str, str]] = []
+        for (words, query, recent, short, _, end), short_group, long_group in zip(
+                block, groups[0::2], groups[1::2]):
+            head = tag + prompt_head((short_group, long_group), words, query, recent)
+            clicks = [texts[row] for row in short]
+            for t, target in enumerate(clicks):  # the first record has no window
+                window = " ".join(clicks[max(0, t - max_window):t])
+                rows.append(("3", "personalization", prompt_text(head, window) + end, target))
+        stats.emitted += len(block)
+        yield rows
+        block = list(itertools.islice(sessions, _BLOCK))
 
 
 def _token_field(tokens: tuple[str, ...]) -> str:
@@ -285,13 +362,17 @@ def read_task_records(path: str | Path) -> list[TaskRecord]:
         int(stage), tag, tuple(inputs.split(" ")), tuple(targets.split(" "))), fields=4)
 
 
-def read_stage3_codes(path: str | Path, scheme: SidScheme) -> np.ndarray:
+def stage3_code_blocks(path: str | Path, scheme: SidScheme) -> Iterator[np.ndarray]:
     """The ``(query first digit, target digits...)`` row of each stage-3
-    record in a record file, as an ``(n, 1 + L)`` int array.
+    record in a record file, as ``(m, 1 + L)`` int arrays of at most
+    ``_BLOCK`` rows each, none empty, yielded as the file is read.
 
     Every line is checked as a record; a stage-3 one must hold a whole
-    ``<T3>`` personalization prompt and one target SID. Other stages are skipped.
+    ``<T3>`` personalization prompt and one target SID. Other stages are
+    skipped. Prompts are checked through :class:`PromptHeads`, so the
+    records of one session check their shared head once.
     """
+    heads = PromptHeads(scheme)
 
     def codes(stage: str, tag: str, inputs: str, targets: str) -> tuple[int, ...] | None:
         _check_kind(int(stage), tag)
@@ -303,8 +384,15 @@ def read_stage3_codes(path: str | Path, scheme: SidScheme) -> np.ndarray:
         tokens = tokens[1:]
         if tokens and tokens[-1].startswith(AGGREGATE_PREFIX):
             tokens.pop()
-        query = prompt_fields(tokens, scheme)[2]
+        query = heads.query_sid(tokens)
         return (query.rq[0], *scheme.parse(targets).digits)
 
-    rows = [row for row in read_records(path, codes, fields=4) if row is not None]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 1 + scheme.length)
+    rows = (row for row in iter_records(path, codes, fields=4) if row is not None)
+    while block := list(itertools.islice(rows, _BLOCK)):
+        yield np.array(block, dtype=np.int64)
+
+
+def read_stage3_codes(path: str | Path, scheme: SidScheme) -> np.ndarray:
+    """The blocks of :func:`stage3_code_blocks` as one ``(n, 1 + L)`` int array."""
+    return np.concatenate([*stage3_code_blocks(path, scheme),
+                           np.zeros((0, 1 + scheme.length), dtype=np.int64)])

@@ -270,20 +270,44 @@ def cooccurrence_fit(records: Iterable[tuple[Sid, Sid]] | np.ndarray,
                      scheme: SidScheme) -> CooccurrenceScorer:
     """Fit the frequency scorer from ``(query_sid, target_sid)`` pairs, or
     from an ``(n, 1 + L)`` int array whose rows hold a query's first digit
-    and then its target's digits.
-
-    Each position is counted with one ``np.unique`` over packed
-    ``(query digit, previous digit, digit)`` keys.
+    and then its target's digits: :func:`cooccurrence_fit_blocks` of one
+    block. Each distinct target SID is validated once, in first-seen order.
     """
     if not isinstance(records, np.ndarray):
-        records = np.array([(query.rq[0], *scheme.validate(target).digits)
-                            for query, target in records], dtype=np.int64)
-    if records.size == 0:
+        records = list(records)
+        for target in dict.fromkeys(target for _, target in records):
+            scheme.validate(target)
+        records = np.array([(query.rq[0], *target.digits) for query, target in records],
+                           dtype=np.int64)
+    return cooccurrence_fit_blocks([records], scheme)
+
+
+def cooccurrence_fit_blocks(blocks: Iterable[np.ndarray], scheme: SidScheme) -> CooccurrenceScorer:
+    """Fit the frequency scorer from blocks of ``(m, 1 + L)`` int code rows,
+    as :func:`cooccurrence_fit` reads one array, holding one block at a time.
+
+    Each block's positions are counted with one ``np.unique`` over packed
+    ``(query digit, previous digit, digit)`` keys, and the integer counts
+    add up across blocks, so any split of the rows gives the same scorer.
+    """
+    slots: dict[tuple[int, int, int], dict[int, int]] = {}
+    if not sum(_count_codes(codes, scheme, slots) for codes in blocks):
         raise ValueError("cannot fit a co-occurrence scorer on zero records")
-    if records.shape[1:] != (1 + scheme.length,) or records.dtype.kind not in "iu":
+    scorer = CooccurrenceScorer(scheme)
+    scorer._set_counts(slots)
+    return scorer
+
+
+def _count_codes(codes: np.ndarray, scheme: SidScheme,
+                 slots: dict[tuple[int, int, int], dict[int, int]]) -> int:
+    """Add the digit counts of the code rows ``codes`` to ``slots``; the
+    number of rows. Rows outside the scheme raise ``ValueError``."""
+    if codes.size == 0:
+        return 0
+    if codes.shape[1:] != (1 + scheme.length,) or codes.dtype.kind not in "iu":
         raise ValueError(f"expected an (n, {1 + scheme.length}) int array, "
-                         f"got {records.dtype} of shape {records.shape}")
-    codes = records.astype(np.int64, copy=False)
+                         f"got {codes.dtype} of shape {codes.shape}")
+    codes = codes.astype(np.int64, copy=False)
     q1 = codes[:, 0]
     outside = (q1 < 0) | (q1 >= scheme.rq_sizes[0])
     if outside.any():
@@ -294,7 +318,6 @@ def cooccurrence_fit(records: Iterable[tuple[Sid, Sid]] | np.ndarray,
         row, pos = np.argwhere(outside)[0]
         raise ValueError(f"code {codes[row, 1 + pos]} at position {pos} "
                          f"outside [0, {sizes[pos]})")
-    slots: dict[tuple[int, int, int], dict[int, int]] = {}
     prev, prev_slots = np.full(len(codes), -1, dtype=np.int64), 1
     for pos, vocab in enumerate(scheme.sizes):
         digit = codes[:, 1 + pos]
@@ -303,11 +326,10 @@ def cooccurrence_fit(records: Iterable[tuple[Sid, Sid]] | np.ndarray,
         for slot, d, count in zip((keys // vocab).tolist(), (keys % vocab).tolist(),
                                   counts.tolist()):
             q, p = divmod(slot, prev_slots)
-            slots.setdefault((pos, q, p - 1), {})[d] = count
+            counted = slots.setdefault((pos, q, p - 1), {})
+            counted[d] = counted.get(d, 0) + count
         prev, prev_slots = digit, vocab + 1
-    scorer = CooccurrenceScorer(scheme)
-    scorer._set_counts(slots)
-    return scorer
+    return len(codes)
 
 
 def rerank_with_rscore(

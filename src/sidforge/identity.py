@@ -205,7 +205,8 @@ def assemble_prompt(
     """Serialize one decoding context to tokens: :func:`prompt_text` split
     on its single spaces."""
     head = prompt_head((",".join(map(str, user.short_part)), ",".join(map(str, user.long_part))),
-                       query_text, query_sid.render(), [s.render() for s in recent_queries])
+                       query_words(query_text), query_sid.render(),
+                       [s.render() for s in recent_queries])
     return prompt_text(head, " ".join(s.render() for s in short_clicks)).split(" ")
 
 
@@ -220,11 +221,12 @@ def query_words(query_text: object) -> list[str]:
     return words
 
 
-def prompt_head(user_groups: Sequence[str], query_text: str, query_sid: str,
+def prompt_head(user_groups: Sequence[str], words: Sequence[str], query_sid: str,
                 recent_queries: Sequence[str]) -> str:
     """The text of a prompt up to its short-click window, tokens joined by
     single spaces; the two comma-joined user groups and the SIDs come
-    already rendered.
+    already rendered, and the query ``words`` already checked by
+    :func:`query_words`.
 
     Layout: ``[BOS] user [SEP] query-text [SEP] query-sid [SEP] q> ...
     [SEP] i> ... [EOS]``. Empty history segments are dropped together with
@@ -233,7 +235,7 @@ def prompt_head(user_groups: Sequence[str], query_text: str, query_sid: str,
     are single comma-joined tokens. One head serves every window of a
     session through :func:`prompt_text`.
     """
-    head = [BOS, *user_groups, SEP, *query_words(query_text), SEP, query_sid]
+    head = [BOS, *user_groups, SEP, *words, SEP, query_sid]
     if recent_queries:
         head += [SEP, RECENT_QUERIES_TAG, *recent_queries]
     return " ".join(head)
@@ -289,6 +291,41 @@ def prompt_fields(tokens: list[str], scheme: SidScheme) -> tuple[
     if user is not None:
         check_user_parts(*user)
     return seps, user, query_sid
+
+
+class PromptHeads:
+    """The query SIDs of prompts checked one after another by
+    :func:`prompt_fields`, with the head of the last prompt that passed
+    memoized: its tokens up to a final ``i>`` segment, or up to ``[EOS]``.
+
+    The prompts of one session share a head and differ in their click window.
+    A prompt that repeats the memoized head and then holds only ``[EOS]``, or
+    ``[SEP] i>``, SIDs and ``[EOS]``, passes every check the head passed, and
+    its window adds one history segment whose SIDs :meth:`SidScheme.check`
+    accepts when they are in the parse memo. Such a prompt gets the head's
+    query SID without a walk. Any other prompt goes through
+    :func:`prompt_fields` as it is, so every fault raises in the same order
+    with the same message. One head is kept, so memory stays bounded.
+    """
+
+    def __init__(self, scheme: SidScheme):
+        self.scheme = scheme
+        self._head: list[str] | None = None
+        self._query: Sid | None = None
+
+    def query_sid(self, tokens: list[str]) -> Sid:
+        """``prompt_fields(tokens, scheme)[2]``."""
+        head = self._head
+        if head is not None and tokens[:len(head)] == head:
+            rest = tokens[len(head):]
+            if rest == [EOS] or (len(rest) > 2 and rest[0] == SEP and rest[1] == SHORT_CLICKS_TAG
+                                 and rest[-1] == EOS and self.scheme.known(rest[2:-1])):
+                return self._query
+        seps, _, query_sid = prompt_fields(tokens, self.scheme)
+        last = seps[-2]  # the last segment; only a history one can start with i>
+        head = tokens[:last] if tokens[last + 1] == SHORT_CLICKS_TAG else tokens[:-1]
+        self._head, self._query = head, query_sid
+        return query_sid
 
 
 def _user_digits(tokens: list[str], scheme: SidScheme) -> list[tuple[int, ...]] | None:

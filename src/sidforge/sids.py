@@ -94,9 +94,14 @@ class SidScheme:
     def check(self, texts: Sequence[str]) -> None:
         """:meth:`parse` each text in order, keeping nothing; when every text
         is in the memo, that is one lookup each."""
-        if not all(map(self._parsed.__contains__, texts)):
+        if not self.known(texts):
             for text in texts:
                 self.parse(text)
+
+    def known(self, texts: Sequence[str]) -> bool:
+        """Whether every text is in the parse memo, so :meth:`parse` would
+        return it without raising; one lookup each, and it never raises."""
+        return all(map(self._parsed.__contains__, texts))
 
 
 class SidCatalog:

@@ -447,8 +447,8 @@ class TestFlagsReachTheApi:
             assert cli != (workspace / name.format("cb")).read_bytes()
 
     def test_curriculum_max_window(self, workspace, tmp_path):
+        import stage3_oracle
         from sidforge import curriculum
-        from sidforge.cli import _read_sessions
         from sidforge.quantizer import load_codebook
 
         assert main(["curriculum", "--stage", "3",
@@ -458,9 +458,10 @@ class TestFlagsReachTheApi:
                      "--codebook", str(workspace / "cb.bin"), "--max-window", "1",
                      "--out", str(tmp_path / "cli.tsv")]) == 0
         codebook = load_codebook(workspace / "cb.bin")
-        sessions = _read_sessions(workspace / "data" / "sessions.jsonl",
-                                  read_sid_file(workspace / "items.sids", SCHEME).entries,
-                                  read_sid_file(workspace / "queries.sids", SCHEME).entries)
+        sessions = stage3_oracle.read_sessions(
+            workspace / "data" / "sessions.jsonl",
+            read_sid_file(workspace / "items.sids", SCHEME).entries,
+            read_sid_file(workspace / "queries.sids", SCHEME).entries)
         cli = (tmp_path / "cli.tsv").read_bytes()
         for window, path in ((1, "api.tsv"), (curriculum.DEFAULT_MAX_WINDOW, "default.tsv")):
             records, _ = curriculum.build_stage3(sessions, codebook, max_window=window)

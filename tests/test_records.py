@@ -16,6 +16,7 @@ from sidforge import cli
 from sidforge._records import write_records
 from sidforge.curriculum import (
     TASK_TAGS,
+    StageStats,
     TaskRecord,
     read_stage3_codes,
     read_task_records,
@@ -42,12 +43,18 @@ from sidforge.sids import Sid, SidScheme, read_sid_file, read_sid_sequence, writ
 
 SCHEME = SidScheme((4, 4), (3,))
 ITEM_SIDS = {"i1": SCHEME.parse("1,2,0"), "i2": SCHEME.parse("3,0,2")}
-QUERY_SIDS = {"q1": SCHEME.parse("0,1,1")}
+# the SIDs as the session reader takes them: rows of ITEM_SIDS' SIDs, query texts
+ITEM_ROWS = {"i1": 0, "i2": 1}
+QUERY_TEXTS = {"q1": "0,1,1"}
 PROMPT = "<T3> [BOS] 0,1,2,3,0 1,1,1,1,1 [SEP] red [SEP] 0,1,1 [SEP] i> 3,0,2 [EOS]"
 # a stage-3 record under a (4, 4, 4)+(3, 3) scheme, whose user ids are range-checked
 PROMPT5 = "<T3> [BOS] 3,3,3,2,2 0,1,1,1,0 [SEP] red [SEP] 0,1,1,0,2 [SEP] i> 3,0,2,1,1 [EOS]"
 STAGE3_SHAPE = "stage 3 needs a personalization <T3> prompt and one target SID"
 VEC = base64.b64encode(np.array([1.0, -2.0], dtype="<f4").tobytes()).decode("ascii")
+
+
+def _read_sessions(path):
+    return list(cli._read_sessions(str(path), ITEM_ROWS, QUERY_TEXTS, StageStats()))
 
 
 def _cli_reader(tmp, argv_for):
@@ -84,7 +91,7 @@ def readers(tmp_path_factory):
         "stage2_pairs": (_cli_reader(tmp, lambda p, out: [
             "curriculum", "--stage", "2", "--pairs", p, "--sids", str(tmp / "items.sids"),
             "--levels", "4,4", "--opq", "1x3", "--out", out]), ["i1\ti2"]),
-        "sessions": (lambda p: cli._read_sessions(str(p), ITEM_SIDS, QUERY_SIDS),
+        "sessions": (_read_sessions,
                      ['{"session_id":"s","query_id":"q1","clicked_item":"i1"}']),
         "cases": (lambda p: cli._read_cases(str(p), SCHEME),
                   ['{"context":"1,2,0","truth":["i1"]}']),
@@ -145,6 +152,18 @@ random_line = st.one_of(
              min_size=1, max_size=7).map("\t".join),
     st.dictionaries(st.sampled_from(JSON_KEYS), json_values, max_size=5).map(json.dumps),
 )
+
+
+def test_lazy_reader_yields_records_before_a_later_fault(tmp_path):
+    from sidforge._records import iter_records, read_records
+
+    path = tmp_path / "in.tsv"
+    path.write_text("a\tb\n\nc\n")
+    records = iter_records(path, lambda left, right: left + right, fields=2)
+    assert next(records) == "ab"
+    assert _raises_at(lambda p: next(records), path, f"{path}:3") == \
+        _raises_at(lambda p: read_records(p, lambda left, right: left, fields=2), path,
+                   f"{path}:3") == f"{path}:3: expected 2 fields, got 1"
 
 
 class TestFuzz:
@@ -332,7 +351,7 @@ class TestMalformedLines:
         path = tmp_path / "sessions.jsonl"
         path.write_text(json.dumps({"session_id": "s", "query_id": "q1", "clicked_item": "i1",
                                     "aggregate_ref": ref}) + "\n")
-        message = _raises_at(lambda p: cli._read_sessions(p, ITEM_SIDS, QUERY_SIDS),
+        message = _raises_at(_read_sessions,
                              str(path), f"{path}:1")
         assert "aggregate_ref" in message
 
@@ -342,7 +361,7 @@ class TestMalformedLines:
         del obj[key]
         path = tmp_path / "sessions.jsonl"
         path.write_text(json.dumps(obj) + "\n")
-        message = _raises_at(lambda p: cli._read_sessions(p, ITEM_SIDS, QUERY_SIDS),
+        message = _raises_at(_read_sessions,
                              str(path), f"{path}:1")
         assert f"missing key '{key}'" in message
 
@@ -557,11 +576,8 @@ class TestValidFilesReadAsBefore:
             {"session_id": "s5", "query_id": "q1", "clicked_item": "i1",
              "recent_queries": ["q1", "q9"]},
         ]) + "\n")
-        sessions = cli._read_sessions(str(path), ITEM_SIDS, QUERY_SIDS)
-        assert [s.session_id for s in sessions] == ["s1"]
-        assert sessions[0].short_clicks == (ITEM_SIDS["i2"], ITEM_SIDS["i1"])
-        assert sessions[0].recent_queries == (QUERY_SIDS["q1"],)
-        assert sessions[0].aggregate_ref == "a1"
+        # (query words, query SID, recent query SIDs, short rows, long rows, aggregate end)
+        assert _read_sessions(path) == [(["q1"], "0,1,1", ["0,1,1"], [1, 0], [1, 0], " agg:a1")]
 
 
 # ids free of tab, CR, LF and space, and tokens free of any whitespace;

@@ -215,6 +215,45 @@ class TestCooccurrenceFit:
         for (pos, q1, prev), slot in scorer.counts.items():
             assert all(type(v) is int for v in (pos, q1, prev, *slot, *slot.values()))
 
+    def test_pairs_validate_each_distinct_target_once(self, monkeypatch):
+        pairs = self.pairs(40) * 5
+        calls = []
+        validate = SidScheme.validate
+        monkeypatch.setattr(SidScheme, "validate",
+                            lambda scheme, sid: calls.append(sid) or validate(scheme, sid))
+        assert cooccurrence_fit(pairs, SCHEME).counts == _reference_counts(pairs)
+        assert calls == list(dict.fromkeys(target for _, target in pairs))
+
+    def test_pairs_raise_for_the_first_invalid_target(self):
+        pairs = self.pairs(10)
+        first, second = Sid((6, 0, 0), (0, 0)), Sid((0, 4, 0), (0, 0))
+        pairs[3:3] = [(pairs[0][0], second), (pairs[0][0], first), (pairs[0][0], second)]
+        with pytest.raises(ValueError) as info:
+            cooccurrence_fit(pairs, SCHEME)
+        with pytest.raises(ValueError) as want:
+            SCHEME.validate(second)
+        assert str(info.value) == str(want.value) == "code 4 at position 1 outside [0, 4)"
+
+    @pytest.mark.parametrize("sizes", [[2000], [1, 1999], [7] * 285 + [5], [0, 2000, 0]])
+    def test_blocks_fit_equals_one_array_fit(self, tmp_path, sizes):
+        from sidforge.generator import cooccurrence_fit_blocks
+
+        pairs = self.pairs(2000, seed=5)
+        codes = np.array([(q.rq[0], *t.digits) for q, t in pairs], dtype=np.int64)
+        blocks = np.split(codes, np.cumsum(sizes)[:-1])
+        cooccurrence_fit(codes, SCHEME).save(tmp_path / "one.json")
+        cooccurrence_fit_blocks(iter(blocks), SCHEME).save(tmp_path / "blocks.json")
+        assert (tmp_path / "one.json").read_bytes() == (tmp_path / "blocks.json").read_bytes()
+
+    def test_blocks_raise_for_a_bad_later_block(self):
+        from sidforge.generator import cooccurrence_fit_blocks
+
+        good = np.zeros((3, 6), dtype=np.int64)
+        with pytest.raises(ValueError, match="code 4 at position 1"):
+            cooccurrence_fit_blocks([good, np.array([[0, 0, 4, 0, 0, 0]])], SCHEME)
+        with pytest.raises(ValueError, match="zero records"):
+            cooccurrence_fit_blocks([np.zeros((0, 6), dtype=np.int64)] * 2, SCHEME)
+
     @pytest.mark.parametrize("codes, message", [
         (np.zeros((0, 6), dtype=np.int64), "zero records"),
         (np.zeros((3, 5), dtype=np.int64), "int array"),
@@ -325,7 +364,7 @@ def test_cli_prompts_carry_the_recent_queries_of_a_session(tmp_path):
 def test_cli_file_equals_written_build_stage3(tmp_path, capsys):
     """Recent queries, long clicks, aggregate refs, windows beyond
     --max-window, cold sessions and over-long sequences (skipped)."""
-    from sidforge.cli import _read_sessions
+    import stage3_oracle
     from sidforge.curriculum import write_task_records
     from sidforge.sids import read_sid_file
 
@@ -362,9 +401,9 @@ def test_cli_file_equals_written_build_stage3(tmp_path, capsys):
                  "--codebook", str(tmp_path / "cb.bin"), "--max-window", "2",
                  "--out", str(tmp_path / "cli.tsv")]) == 0
     stdout = capsys.readouterr().out
-    read = _read_sessions(tmp_path / "sessions.jsonl",
-                          read_sid_file(tmp_path / "items.sids", SCHEME).entries,
-                          read_sid_file(tmp_path / "queries.sids", SCHEME).entries)
+    read = stage3_oracle.read_sessions(tmp_path / "sessions.jsonl",
+                                       read_sid_file(tmp_path / "items.sids", SCHEME).entries,
+                                       read_sid_file(tmp_path / "queries.sids", SCHEME).entries)
     records, stats = build_stage3(read, _codebook(), max_window=2)
     write_task_records(records, tmp_path / "api.tsv")
     assert (tmp_path / "cli.tsv").read_bytes() == (tmp_path / "api.tsv").read_bytes()
@@ -484,3 +523,127 @@ def test_parse_prompt_matches_the_per_object_reference_on_mutated_prompts():
             got = ("ok", (p.user.short_part, p.user.long_part, p.query_text, p.query_sid,
                           p.recent_queries, p.short_clicks))
         assert got == want, tokens
+
+
+# --- the prompt-head memo against the per-object reader ---
+
+def _session_lines(rng) -> list[tuple[SidScheme, list[str]]]:
+    """The stage-3 lines of single sessions, two or more each, under a
+    5-position scheme and under SCHEME3, whose user groups are integers."""
+    out = []
+    for sess in _random_sessions(rng, 300):
+        records, _ = build_stage3([sess], _codebook())
+        if len(records) > 1:
+            out.append((SCHEME, ["\t".join(("3", r.task_tag, " ".join(r.input_tokens),
+                                             r.target_tokens[0])) for r in records[:5]]))
+    pool = ["1,2,0", "3,0,2", "0,0,0", "2,3,1", "1,1,2", "3,3,0"]
+    for _ in range(200):
+        head = (f"<T3> [BOS] {rng.choice(['0,1,2,3,0', '3,3,3,2,2'])} 1,1,1,1,1 [SEP] "
+                f"{rng.choice(['red', 'red shoes', ''])} [SEP] {rng.choice(pool)}")
+        if rng.random() < 0.4:
+            head += " [SEP] q> " + " ".join(rng.choice(pool, size=int(rng.integers(1, 3))))
+        clicks = [str(c) for c in rng.choice(pool, size=int(rng.integers(2, 5)))]
+        agg = " agg:a1" if rng.random() < 0.3 else ""
+        out.append((SCHEME3, [
+            f"3\tpersonalization\t{head} "
+            f"{('[SEP] i> ' + ' '.join(clicks[max(0, t - 2):t]) + ' ') if t else ''}[EOS]{agg}"
+            f"\t{target}" for t, target in enumerate(clicks)]))
+    return out
+
+
+def _edit(tokens: list[str], rng, pool: list[str]) -> None:
+    """One random edit of ``tokens``, in place."""
+    op, i = int(rng.integers(6)), int(rng.integers(len(tokens) + 1))
+    j = min(i, len(tokens) - 1)
+    if op == 0 and tokens:
+        del tokens[j]
+    elif op == 1:
+        tokens.insert(i, str(rng.choice(pool)))
+    elif op == 2 and tokens:
+        tokens[j] = str(rng.choice(pool))
+    elif op == 3 and len(tokens) > 1:
+        k = int(rng.integers(len(tokens) - 1))
+        tokens[k], tokens[k + 1] = tokens[k + 1], tokens[k]
+    elif op == 4 and tokens:  # one digit of one comma token
+        digits = tokens[j].split(",")
+        digits[int(rng.integers(len(digits)))] = str(rng.choice(["7", "-1", "01", "x", "", "2"]))
+        tokens[j] = ",".join(digits)
+    elif tokens:  # a token repeated, or a digit group cut short
+        tokens.insert(j, tokens[j]) if rng.random() < 0.5 else \
+            tokens.__setitem__(j, tokens[j].rsplit(",", 1)[0])
+
+
+def _mutate_part(line: str, rng, part: str, sids: list[str]) -> str:
+    """``line`` with its window, target, ``agg:`` token or prompt head edited."""
+    stage, tag, inputs, target = line.split("\t")
+    tokens = inputs.split(" ")
+    agg = tokens.pop() if tokens[-1].startswith("agg:") else None
+    # the head ends where the window's [SEP] i> starts, or at [EOS]
+    end = len(tokens) - 1
+    if "i>" in tokens:
+        end = len(tokens) - 1 - tokens[::-1].index("i>") - 1
+    pool = _POOL + sids
+    if part == "target":
+        target = str(rng.choice(sids + ["1,2,0 1,2,0", "", "01,2,0", "1,2", "6,0,0,0,0",
+                                        "3,3,2,2,2", "5,3,2,2,2"]))
+    elif part == "agg":
+        choice = int(rng.integers(4))
+        if choice == 0:
+            agg = None if agg else "agg:z"
+        elif choice == 1:
+            agg = str(rng.choice(["agg:", "agg:a1", "agg:[EOS]"]))
+        else:
+            tokens.insert(int(rng.integers(1, len(tokens) + 1)), "agg:a1")
+    elif part == "window":
+        window = tokens[end:]
+        for _ in range(int(rng.integers(1, 3))):
+            _edit(window, rng, pool)
+        tokens[end:] = window
+    else:
+        head = tokens[1:end]
+        _edit(head, rng, pool)
+        tokens[1:end] = head
+    inputs = " ".join(tokens + ([agg] if agg else []))
+    return "\t".join((stage, tag, inputs, target))
+
+
+def test_head_memo_matches_the_per_object_reference(tmp_path, monkeypatch):
+    """Files of one session's lines, a mutated copy and the session's lines
+    again: the codes, or the `path:line` message, equal the reference
+    reader's, and the memo serves lines that repeat a head, mutated ones
+    included."""
+    import stage3_oracle
+    from sidforge import identity
+
+    walks = []
+    prompt_fields = identity.prompt_fields
+    monkeypatch.setattr(identity, "prompt_fields",
+                        lambda tokens, scheme: walks.append(1) or prompt_fields(tokens, scheme))
+    rng = np.random.default_rng(23)
+    sessions = _session_lines(rng)
+    sids = {SCHEME: sorted({sid.render() for sess in _random_sessions(rng, 10)
+                            for sid in sess.short_clicks}),
+            SCHEME3: ["1,2,0", "3,0,2", "2,3,1", "0,1,1"]}
+    path = tmp_path / "stage3.tsv"
+    outcomes, walked, read = [], 0, 0
+    for n in range(1200):
+        scheme, lines = sessions[int(rng.integers(len(sessions)))]
+        part = ("window", "target", "agg", "head")[n % 4]
+        mutated = _mutate_part(lines[int(rng.integers(len(lines)))], rng, part, sids[scheme])
+        # the session's windowed lines again after the mutated one
+        path.write_text("\n".join(lines + [mutated] + lines[1:]) + "\n", encoding="utf-8")
+        fresh = SidScheme(scheme.rq_sizes, scheme.opq_sizes)
+        want = _outcome(lambda: stage3_oracle.read_stage3_codes(path, fresh))
+        walks.clear()
+        got = _outcome(lambda: read_stage3_codes(path, scheme))
+        assert got == want, (n, path.read_text())
+        # the first line, the mutated one and the first line after it at most
+        assert len(walks) <= 3, (n, path.read_text())
+        walked, read = walked + len(walks), read + 2 * len(lines)
+        outcomes.append(str(want))
+    assert walked < 0.25 * read
+    for outcome in ("'ok'", "bracketed", "at least 3 segments", "exactly two code groups",
+                    "is not in canonical form", "exactly one SID", "empty segment",
+                    "unknown history segment tag", "10 digits", "stage 3 needs",
+                    "outside [0,", "invalid literal", "expected 5 digits"):
+        assert any(outcome in text for text in outcomes), outcome  # every check is reached

@@ -92,6 +92,21 @@ def test_refused_record_keeps_the_existing_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["p.tsv"]
 
 
+def test_located_error_from_a_row_passes_through(tmp_path):
+    """An input read lazily while its rows are written keeps its own
+    `path:line`, and the existing file is kept."""
+    path = tmp_path / "p.tsv"
+    path.write_bytes(OLD)
+    source = tmp_path / "in.jsonl"
+    source.write_text('{"a": 1}\n[]\n')
+    rows = ((str(obj["a"]),) for obj in _records.iter_records(source, dict, jsonl=True))
+    with pytest.raises(ValueError) as info:
+        write_records(path, rows)
+    assert str(info.value) == f"{source}:2: expected a JSON object, got list"
+    assert path.read_bytes() == OLD
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "p.tsv"]
+
+
 def test_killed_write_keeps_the_existing_file(tmp_path):
     """A process that dies mid-write, with lines already flushed to disk,
     leaves the target as it was; only its temporary file may remain."""
