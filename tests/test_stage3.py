@@ -568,9 +568,10 @@ def _edit(tokens: list[str], rng, pool: list[str]) -> None:
         digits = tokens[j].split(",")
         digits[int(rng.integers(len(digits)))] = str(rng.choice(["7", "-1", "01", "x", "", "2"]))
         tokens[j] = ",".join(digits)
-    elif tokens:  # a token repeated, or a digit group cut short
-        tokens.insert(j, tokens[j]) if rng.random() < 0.5 else \
-            tokens.__setitem__(j, tokens[j].rsplit(",", 1)[0])
+    elif tokens and rng.random() < 0.5:  # a token repeated
+        tokens.insert(j, tokens[j])
+    elif tokens:  # a digit group cut short
+        tokens[j] = tokens[j].rsplit(",", 1)[0]
 
 
 def _mutate_part(line: str, rng, part: str, sids: list[str]) -> str:
