@@ -17,7 +17,7 @@ import numpy as np
 from . import curriculum as curr
 from . import evalharness as ev
 from . import reward as rw
-from ._records import id_list, iter_records, read_json, read_records, write_records
+from ._records import LocatedError, id_list, iter_records, read_json, read_records, write_records
 from .embedding import (
     Catalog,
     cosine_filter,
@@ -41,8 +41,11 @@ from .sidmetrics import cur, drift_report, icr
 from .sids import SidScheme, read_sid_file, read_sid_sequence, write_sid_file
 
 
-def _parse_levels(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
+def _parse_levels(text: str, flag: str = "--levels") -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise SystemExit(f"{flag} expects comma-joined integers (e.g. 10,50), got {text!r}")
 
 
 def _parse_opq(text: str) -> tuple[int, int]:
@@ -199,7 +202,7 @@ def cmd_dpo_eval(args) -> None:
                 pw, refw = logps[(pl.context, pl.winner)]
                 losers = [logps[(pl.context, l)] for l in pl.losers]
             except KeyError as e:
-                raise SystemExit(f"missing log-probability entry for {e.args[0]}")
+                raise LocatedError(f"{args.logprobs}: no log-probability entry for {e.args[0]}")
             loss = rw.listwise_dpo_loss(pw, refw, [l[0] for l in losers],
                                         [l[1] for l in losers], pl.delta_weights, cfg)
             total += loss
@@ -235,9 +238,7 @@ def _read_sessions(path: str, item_rows: dict[str, int], query_sids: dict[str, s
         short_ids = id_list(obj.get("short_clicks", []))
         long_ids = id_list(obj.get("long_clicks", []))
         recent_ids = id_list(obj.get("recent_queries", []))
-        ref = obj.get("aggregate_ref")
-        if ref is not None and (not isinstance(ref, str) or ref.split() != [ref]):
-            raise ValueError(f"aggregate_ref must be one token without whitespace, got {ref!r}")
+        end = curr.aggregate_end(obj.get("aggregate_ref"))
         words = query_words(obj.get("query_text", query_id))
         try:
             query = query_sids[query_id]
@@ -249,17 +250,15 @@ def _read_sessions(path: str, item_rows: dict[str, int], query_sids: dict[str, s
         if clicks is None:
             stats.skipped += 1
             return None
-        return (words, query, recent, *clicks, curr.aggregate_end(ref))
+        return (words, query, recent, *clicks, end)
 
     return (s for s in iter_records(path, session, jsonl=True) if s is not None)
 
 
-def _write_stage3(args) -> tuple[int, curr.StageStats]:
-    """The stage-3 text rows of ``args.sessions``, as write_task_records would
-    write them, written to ``args.out`` block by block; the number of rows
-    and the stats."""
-    codebook = load_codebook(args.codebook)
-    scheme = codebook.scheme
+def _write_stage3(args, scheme: SidScheme) -> tuple[int, curr.StageStats]:
+    """The stage-3 text rows of ``args.sessions`` under ``scheme``, as
+    write_task_records would write them, written to ``args.out`` block by
+    block; the number of rows and the stats."""
     table = curr.SidRows(scheme)
     item_rows = {item_id: table.add(sid) for item_id, sid in read_sid_file(args.sids, scheme)}
     query_sids = {query_id: table.texts[table.add(sid)]
@@ -288,24 +287,22 @@ def _require(args, names) -> None:
 
 
 def cmd_curriculum(args) -> None:
+    _require(args, {1: ["texts", "sids", "codebook"], 2: ["pairs", "sids", "codebook"],
+                    3: ["sessions", "sids", "query-sids", "codebook"]}[args.stage])
+    scheme = load_codebook(args.codebook).scheme
     if args.stage == 1:
-        _require(args, ["texts", "sids", "levels"])
-        scheme = _scheme_from_args(args)
         sids = read_sid_file(args.sids, scheme)
         records, stats = curr.build_stage1(
             _read_tsv_map(args.texts), sids.entries,
             _read_tsv_map(args.categories) if args.categories else {},
         )
     elif args.stage == 2:
-        _require(args, ["pairs", "sids", "levels"])
-        scheme = _scheme_from_args(args)
         sids = read_sid_file(args.sids, scheme)
         pairs = read_records(args.pairs, lambda query_id, item_id: (query_id, item_id), fields=2)
         texts = _read_tsv_map(args.texts) if args.texts else None
         records, stats = curr.build_stage2(pairs, sids.entries, texts)
     else:
-        _require(args, ["sessions", "sids", "query-sids", "codebook"])
-        written, stats = _write_stage3(args)
+        written, stats = _write_stage3(args, scheme)
     if args.stage != 3:
         curr.write_task_records(records, args.out)
         written = len(records)
@@ -362,6 +359,7 @@ def _read_cases(path: str, scheme: SidScheme) -> list[ev.EvalCase]:
 
 
 def cmd_evaluate(args) -> None:
+    ks = _parse_levels(args.k, "--k")
     codebook = load_codebook(args.codebook)
     scorer = _load_scorer(args.scorer, codebook.scheme, f"codebook {args.codebook}")
     catalog = load_catalog(args.catalog)
@@ -372,7 +370,6 @@ def cmd_evaluate(args) -> None:
         if sid_catalog.entries.keys() != set(catalog.ids):
             raise ValueError(f"{args.sids}: SID file ids differ from the catalog's ids "
                              f"({len(sid_catalog)} SIDs, {len(catalog.ids)} catalog items)")
-    ks = _parse_levels(args.k)
     report = ev.run_eval(codebook, scorer, cases, ks, catalog, beam=args.beam,
                          sid_catalog=sid_catalog)
     write_records(args.out, report.rows())
@@ -492,10 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs")
     p.add_argument("--sessions")
     p.add_argument("--query-sids")
-    p.add_argument("--codebook")
+    p.add_argument("--codebook", help="the codebook whose scheme every SID must fit")
     p.add_argument("--max-window", type=int, default=curr.DEFAULT_MAX_WINDOW)
-    p.add_argument("--levels")
-    p.add_argument("--opq")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_curriculum)
 

@@ -192,7 +192,7 @@ def stage3_rows(
     aggregate-file reference token rides along when the session names one.
     A session with an invalid click SID, or a sequence over its length
     cap, is skipped; a codebook without 5-digit SIDs, or an aggregate
-    reference holding whitespace, raises ``ValueError``.
+    reference that is not one token, raises ``ValueError``.
 
     The sessions become the id rows of :func:`stage3_blocks`, which renders
     them: each distinct click SID is validated and rendered once per call.
@@ -278,13 +278,13 @@ def click_sequences(short: list, clicked, long: list) -> tuple[list, list] | Non
 
 def aggregate_end(ref: str | None) -> str:
     """What a session's aggregate reference adds at the end of each of its
-    stage-3 inputs: nothing, or a space and its ``agg:`` token."""
+    stage-3 inputs: nothing, or a space and its ``agg:`` token. A reference
+    that is not a nonempty string without whitespace raises ``ValueError``."""
     if ref is None:
         return ""
-    token = f"{AGGREGATE_PREFIX}{ref}"
-    if token.split() != [token]:  # the written record would not read back
+    if not isinstance(ref, str) or ref.split() != [ref]:  # its record would not read back
         raise ValueError(f"aggregate_ref must be one token without whitespace, got {ref!r}")
-    return f" {token}"
+    return f" {AGGREGATE_PREFIX}{ref}"
 
 
 def _check_sessions(scheme: SidScheme, max_window: int) -> None:

@@ -234,8 +234,9 @@ def run_eval(
 
     Cases with equal contexts share one beam search (a list context is
     keyed by its tuple), so contexts must be hashable and the scorer pure.
-    Pass ``sid_catalog`` to rank against precomputed (e.g. fit-assignment)
-    codes instead of greedy re-encoding the catalog.
+    Pass ``sid_catalog``, of the codebook's scheme, to rank against
+    precomputed (e.g. fit-assignment) codes instead of greedy re-encoding
+    the catalog.
     """
     if not cases:
         raise ValueError("empty case set")
@@ -245,6 +246,8 @@ def run_eval(
     if sid_catalog is None:
         sids = encode_batch(item_catalog.matrix, codebook)
         sid_catalog = SidCatalog(dict(zip(item_catalog.ids, sids)), codebook.scheme)
+    elif sid_catalog.scheme != codebook.scheme:
+        raise ValueError(f"sid_catalog {sid_catalog.scheme} is not the codebook's {codebook.scheme}")
     trie = build_trie(sid_catalog)
     beam_width = beam if beam is not None else max(ks)
 
@@ -261,7 +264,8 @@ def run_eval(
         ks=list(ks),
         hitrate={k: hitrate_at_k(filled, k) for k in ks},
         mrr={k: mrr_at_k(filled, k) for k in ks},
-        catalog_cur_per_level=[cur(sid_catalog, p) for p in range(1, len(codebook.rq.levels) + 1)],
+        catalog_cur_per_level=[cur(sid_catalog, p)
+                               for p in range(1, len(sid_catalog.scheme.rq_sizes) + 1)],
         catalog_icr_rq=icr(sid_catalog, use_opq=False),
         catalog_icr_full=icr(sid_catalog, use_opq=True),
         n_cases=len(filled),

@@ -531,7 +531,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     cats.write_text("".join(f"{i}\tcat\n" for i in item_ids))
     ok &= _run_twice(["curriculum", "--stage", "1", "--texts", str(texts),
                       "--categories", str(cats), "--sids", sids,
-                      "--levels", "4,3,2", "--opq", "2x2", "--out", "{OUT}"],
+                      "--codebook", cb, "--out", "{OUT}"],
                      tmp_path, ["stage1.tsv"])
 
     qi_pairs = tmp_path / "qi.tsv"
@@ -541,7 +541,7 @@ def test_criterion_11_cli_determinism(tmp_path, capsys):
     merged.write_text((tmp_path / "a_items.sids").read_text()
                       + (tmp_path / "a_queries.sids").read_text())
     ok &= _run_twice(["curriculum", "--stage", "2", "--pairs", str(qi_pairs),
-                      "--sids", str(merged), "--levels", "4,3,2", "--opq", "2x2",
+                      "--sids", str(merged), "--codebook", cb,
                       "--out", "{OUT}"], tmp_path, ["stage2.tsv"])
 
     ok &= _run_twice(["curriculum", "--stage", "3",

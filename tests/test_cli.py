@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,18 @@ class TestUsageErrorsExit:
             main(["metrics", "--sids", str(workspace / "items.sids"),
                   "--levels", LEVELS, "--opq", "2by2"])
 
+    def test_bad_levels(self, workspace):
+        with pytest.raises(SystemExit, match=r"^--levels expects comma-joined integers .*'4,x'$"):
+            main(["metrics", "--sids", str(workspace / "items.sids"), "--levels", "4,x"])
+
+    def test_bad_k(self, tmp_path):
+        # a malformed flag is refused before any input file is opened
+        with pytest.raises(SystemExit, match=r"^--k expects comma-joined integers .*'10,x'$"):
+            main(["evaluate", "--codebook", str(tmp_path / "cb.bin"),
+                  "--scorer", str(tmp_path / "scorer.json"),
+                  "--catalog", str(tmp_path / "items.catalog"),
+                  "--cases", str(tmp_path / "cases.jsonl"), "--k", "10,x"])
+
     def test_drift_without_batches(self, workspace, tmp_path):
         with pytest.raises(SystemExit, match=f"no \\*.catalog files under {tmp_path}"):
             main(["drift", "--codebook", str(workspace / "cb.bin"),
@@ -195,7 +208,8 @@ class TestUsageErrorsExit:
         lists, logps = tmp_path / "lists.jsonl", tmp_path / "logps.tsv"
         lists.write_text('{"context":"q1","winner":"w","losers":["l"],"deltas":[0.5]}\n')
         logps.write_text("q1\tw\t-1.0\t-1.0\n")
-        with pytest.raises(SystemExit, match=r"missing log-probability entry for \('q1', 'l'\)"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(logps))}: no log-probability "
+                                             r"entry for \('q1', 'l'\)$"):
             main(["dpo-eval", "--lists", str(lists), "--logprobs", str(logps),
                   "--out", str(tmp_path / "dpo.tsv")])
         assert not (tmp_path / "dpo.tsv").exists()
@@ -295,7 +309,7 @@ class TestCurriculumCommands:
         assert main([
             "curriculum", "--stage", "1", "--texts", str(texts),
             "--categories", str(cats), "--sids", str(workspace / "items.sids"),
-            "--levels", LEVELS, "--opq", OPQ, "--out", str(out),
+            "--codebook", str(workspace / "cb.bin"), "--out", str(out),
         ]) == 0
         assert len(out.read_text().splitlines()) == 12
 
@@ -310,7 +324,7 @@ class TestCurriculumCommands:
         out = workspace / "stage2.tsv"
         assert main([
             "curriculum", "--stage", "2", "--pairs", str(pairs),
-            "--sids", str(merged), "--levels", LEVELS, "--opq", OPQ,
+            "--sids", str(merged), "--codebook", str(workspace / "cb.bin"),
             "--out", str(out),
         ]) == 0
         assert len(out.read_text().splitlines()) == 4
@@ -400,6 +414,30 @@ class TestCurriculumCommands:
             "--context", str(prompt_path), "--beam", "4", "--out", str(out),
         ]) == 0
         assert len(out.read_text().splitlines()) <= 4
+
+    @pytest.mark.parametrize("stage", ["1", "2"])
+    def test_sids_outside_the_codebook_scheme_rejected(self, workspace, tmp_path, stage):
+        """Every stage reads its scheme from --codebook, here (4, 3, 2)+(2, 2):
+        a 5 at the third level does not fit, though it would under --levels 4,3,8."""
+        sids = tmp_path / "items.sids"
+        sids.write_text("i1\t0,0,0,0,0\ni2\t3,2,5,1,1\n")
+        (tmp_path / "in.tsv").write_text("i1\ti2\n")
+        inputs = ["--texts" if stage == "1" else "--pairs", str(tmp_path / "in.tsv")]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(sids))}:2: "):
+            main(["curriculum", "--stage", stage, *inputs, "--sids", str(sids),
+                  "--codebook", str(workspace / "cb.bin"), "--out", str(tmp_path / "out.tsv")])
+        assert not (tmp_path / "out.tsv").exists()
+
+    def test_scheme_flags_are_not_curriculum_options(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["curriculum", "--stage", "1", "--levels", LEVELS, "--out", "x.tsv"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --levels" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["curriculum", "--help"])
+        flags = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert flags == ["--stage", "--texts", "--categories", "--sids", "--pairs",
+                         "--sessions", "--query-sids", "--codebook", "--max-window", "--out"]
 
     def test_missing_stage_inputs_rejected(self, workspace):
         with pytest.raises(SystemExit, match="needs --"):

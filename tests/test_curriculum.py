@@ -9,6 +9,7 @@ from sidforge.curriculum import (
     build_stage3,
     read_task_records,
     sliding_window,
+    stage3_rows,
     write_task_records,
 )
 from sidforge.quantizer import fit_codebook
@@ -170,6 +171,11 @@ class TestStage3:
     def test_aggregate_ref_holding_whitespace_rejected(self, cb, ref):
         with pytest.raises(ValueError, match="aggregate_ref must be one token without whitespace"):
             build_stage3([self.session([sid(1, 1, 1, 1, 1)], aggregate_ref=ref)], cb)
+
+    @pytest.mark.parametrize("ref", ["", 7])
+    def test_aggregate_ref_that_is_not_a_nonempty_string_rejected(self, cb, ref):
+        with pytest.raises(ValueError, match="aggregate_ref must be one token without whitespace"):
+            stage3_rows([self.session([sid(1, 1, 1, 1, 1)], aggregate_ref=ref)], cb)
 
     def test_codebook_without_five_digit_sids_rejected(self):
         rng = np.random.default_rng(0)

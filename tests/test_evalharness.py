@@ -14,7 +14,7 @@ from sidforge.generator import UniformScorer, beam_search, build_trie, cooccurre
 from sidforge.identity import UserSid, assemble_prompt
 from sidforge.quantizer import encode_batch, fit_codebook
 from sidforge.sidmetrics import cur, icr
-from sidforge.sids import SidCatalog
+from sidforge.sids import SidCatalog, SidScheme
 
 
 class OracleScorer:
@@ -249,6 +249,20 @@ class TestRunEval:
         r1 = run_eval(cb, UniformScorer(), cases, [5], bundle.items, beam=8)
         r2 = run_eval(cb, UniformScorer(), cases, [5], bundle.items, beam=8)
         assert r1.render() == r2.render()
+
+    def test_sid_catalog_of_another_scheme_rejected(self):
+        """CUR counts under the catalog's scheme, so it must be the codebook's:
+        a wider (8, 3, 2) catalog would be counted against the wrong capacities."""
+        rng = np.random.default_rng(0)
+        cb = fit_codebook(rng.normal(size=(40, 4)), (4, 3, 2), balanced_last=False,
+                          opq_subspaces=2, opq_codes=2, seed=0)
+        wide = SidScheme((8, 3, 2), (2, 2))
+        sid_catalog = SidCatalog({"a": wide.parse("7,2,1,1,0"), "b": wide.parse("0,0,0,0,0")},
+                                 wide)
+        with pytest.raises(ValueError) as info:
+            run_eval(cb, UniformScorer(), [EvalCase(cb.fit_sids[0], frozenset({"a"}))], [1],
+                     None, sid_catalog=sid_catalog)
+        assert repr(wide) in str(info.value) and repr(cb.scheme) in str(info.value)
 
     def test_empty_cases_rejected(self, bundle_and_cb):
         bundle, cb = bundle_and_cb

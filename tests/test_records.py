@@ -57,6 +57,17 @@ def _read_sessions(path):
     return list(cli._read_sessions(str(path), ITEM_ROWS, QUERY_TEXTS, StageStats()))
 
 
+def _save_scheme_codebook(path):
+    """A tiny codebook file of SCHEME, the scheme source of ``curriculum``."""
+    rng = np.random.default_rng(0)
+    catalog = Catalog([f"i{i}" for i in range(16)], rng.normal(size=(16, 4)))
+    codebook = fit_codebook(catalog, level_sizes=SCHEME.rq_sizes, opq_subspaces=1,
+                            opq_codes=SCHEME.opq_sizes[0], iters=2, opq_outer_iters=1, seed=0)
+    assert codebook.scheme == SCHEME
+    save_codebook(codebook, path)
+    return str(path)
+
+
 def _cli_reader(tmp, argv_for):
     """A reader that runs one CLI command on the file under test."""
     def read(path):
@@ -70,6 +81,7 @@ def readers(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("readers")
     (tmp / "empty.jsonl").write_text("")
     (tmp / "items.sids").write_text("i1\t1,2,0\ni2\t3,0,2\n")
+    codebook = _save_scheme_codebook(tmp / "cb.bin")
     return {
         "sid_file": (lambda p: read_sid_file(p, SCHEME), ["i1\t1,2,0", "i2\t3,0,2"]),
         "sid_sequence": (lambda p: read_sid_sequence(p, SCHEME), ["i1\t1,2,0"]),
@@ -90,7 +102,7 @@ def readers(tmp_path_factory):
         "tsv_map": (lambda p: cli._read_tsv_map(str(p)), ["i1\tred\tshoe"]),
         "stage2_pairs": (_cli_reader(tmp, lambda p, out: [
             "curriculum", "--stage", "2", "--pairs", p, "--sids", str(tmp / "items.sids"),
-            "--levels", "4,4", "--opq", "1x3", "--out", out]), ["i1\ti2"]),
+            "--codebook", codebook, "--out", out]), ["i1\ti2"]),
         "sessions": (_read_sessions,
                      ['{"session_id":"s","query_id":"q1","clicked_item":"i1"}']),
         "cases": (lambda p: cli._read_cases(str(p), SCHEME),
@@ -341,9 +353,10 @@ class TestMalformedLines:
         (tmp_path / "items.sids").write_text("i1\t1,2,0\n")
         path = tmp_path / "pairs.tsv"
         path.write_text("i1\n")
+        codebook = _save_scheme_codebook(tmp_path / "cb.bin")
         _raises_at(lambda p: cli.main([
             "curriculum", "--stage", "2", "--pairs", p, "--sids", str(tmp_path / "items.sids"),
-            "--levels", "4,4", "--opq", "1x3", "--out", str(tmp_path / "out.tsv")]),
+            "--codebook", codebook, "--out", str(tmp_path / "out.tsv")]),
             str(path), f"{path}:1")
 
     @pytest.mark.parametrize("ref", ["a b", "a\u00a0b", "", 7, ["a"]])
