@@ -64,6 +64,7 @@ from .curriculum import (
 )
 from .generator import (
     BeamHit,
+    BeamHits,
     CooccurrenceScorer,
     SidTrie,
     UniformScorer,

@@ -343,10 +343,11 @@ def cmd_generate(args) -> None:
         context = scheme.parse(args.context)
     hits = beam_search(context, scorer, args.beam, trie=trie,
                        scheme=scheme, constrained=not args.unconstrained)
+    rows = zip(hits.digits.tolist(), hits.scores.tolist(), hits.in_catalog.tolist())
     write_records(args.out, (
-        (str(rank), hit.sid.render(), repr(hit.score),
-         ",".join(trie.items_at(hit.sid.digits) if hit.in_catalog else ()) or "-")
-        for rank, hit in enumerate(hits, 1)))
+        (str(rank), ",".join(map(str, digits)), repr(score),
+         ",".join(trie.items_at(digits) if in_catalog else ()) or "-")
+        for rank, (digits, score, in_catalog) in enumerate(rows, 1)))
 
 
 def _read_cases(path: str, scheme: SidScheme) -> list[ev.EvalCase]:

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .embedding import Catalog, Embedding, KeywordSet
-from .generator import Scorer, SidTrie, beam_search, build_trie
+from .generator import BeamHits, Scorer, SidTrie, beam_search, build_trie
 from .quantizer import RqOpqCodebook, encode_batch
 from .sidmetrics import cur, icr
 from .sids import SidCatalog
@@ -40,27 +40,29 @@ class EvalCase:
 
 def hitrate_at_k(cases: Sequence[EvalCase], k: int) -> float:
     """Fraction of cases whose top-k candidates intersect the truth."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not cases:
-        raise ValueError("empty case set")
-    hits = sum(1 for c in cases if any(cand in c.truth for cand in c.candidates[:k]))
-    return hits / len(cases)
+    return _rates_at_k([(c.truth, c.candidates) for c in cases], k)[0]
 
 
 def mrr_at_k(cases: Sequence[EvalCase], k: int) -> float:
     """Mean reciprocal rank of the first truth hit within the top k."""
+    return _rates_at_k([(c.truth, c.candidates) for c in cases], k)[1]
+
+
+def _rates_at_k(pairs: Sequence[tuple[frozenset[str], Sequence[str]]],
+                k: int) -> tuple[float, float]:
+    """HR@k and MRR@k over ``(truth, candidates)`` pairs."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not cases:
+    if not pairs:
         raise ValueError("empty case set")
-    total = 0.0
-    for c in cases:
-        for rank, cand in enumerate(c.candidates[:k], 1):
-            if cand in c.truth:
+    hits, total = 0, 0.0
+    for truth, candidates in pairs:
+        for rank, cand in enumerate(candidates[:k], 1):
+            if cand in truth:
+                hits += 1
                 total += 1.0 / rank
                 break
-    return total / len(cases)
+    return hits / len(pairs), total / len(pairs)
 
 
 @dataclass(frozen=True)
@@ -209,12 +211,12 @@ class EvalReport:
         return "".join("\t".join(row) + "\n" for row in self.rows())
 
 
-def rank_items(hits, trie: SidTrie) -> list[str]:
+def rank_items(hits: BeamHits, trie: SidTrie) -> list[str]:
     """Flatten beam hits to item ids, deduplicated at their best rank."""
     seen: set[str] = set()
     ranked: list[str] = []
-    for hit in hits:
-        for item_id in trie.items_at(hit.sid.digits):
+    for digits in hits.digits.tolist():
+        for item_id in trie.items_at(digits):
             if item_id not in seen:
                 seen.add(item_id)
                 ranked.append(item_id)
@@ -252,22 +254,23 @@ def run_eval(
     beam_width = beam if beam is not None else max(ks)
 
     ranked: dict[object, tuple[str, ...]] = {}
-    filled: list[EvalCase] = []
+    pairs: list[tuple[frozenset[str], tuple[str, ...]]] = []
     for case in cases:
         key = tuple(case.context) if isinstance(case.context, list) else case.context
         if key not in ranked:
             hits = beam_search(case.context, scorer, beam_width, trie=trie)
             ranked[key] = tuple(rank_items(hits, trie))
-        filled.append(EvalCase(case.context, case.truth, ranked[key]))
+        pairs.append((case.truth, ranked[key]))
+    rates = {k: _rates_at_k(pairs, k) for k in ks}
 
     report = EvalReport(
         ks=list(ks),
-        hitrate={k: hitrate_at_k(filled, k) for k in ks},
-        mrr={k: mrr_at_k(filled, k) for k in ks},
+        hitrate={k: rates[k][0] for k in ks},
+        mrr={k: rates[k][1] for k in ks},
         catalog_cur_per_level=[cur(sid_catalog, p)
                                for p in range(1, len(sid_catalog.scheme.rq_sizes) + 1)],
         catalog_icr_rq=icr(sid_catalog, use_opq=False),
         catalog_icr_full=icr(sid_catalog, use_opq=True),
-        n_cases=len(filled),
+        n_cases=len(pairs),
     )
     return report

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -90,6 +91,47 @@ class BeamHit:
     in_catalog: bool | None = None   # None when no trie was available to check
 
 
+class BeamHits(Sequence):
+    """``beam_search``'s hits, best first, as arrays: ``digits`` the ``(B, L)``
+    int64 codes, ``scores`` the ``(B,)`` float64 summed log-scores and
+    ``in_catalog`` a ``(B,)`` bool array, or None when no trie was given.
+    It reads as the list of :class:`BeamHit` values, which are built from
+    the arrays each time an element is read; a slice is a ``BeamHits``."""
+
+    def __init__(self, digits: np.ndarray, scores: np.ndarray,
+                 in_catalog: np.ndarray | None, n_rq: int):
+        self.digits, self.scores, self.in_catalog = digits, scores, in_catalog
+        self._n_rq = n_rq  # leading digits that form a hit's ``sid.rq``
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            flags = None if self.in_catalog is None else self.in_catalog[index]
+            return BeamHits(self.digits[index], self.scores[index], flags, self._n_rq)
+        i = range(len(self))[index]
+        return next(iter(self[i:i + 1]))
+
+    def __iter__(self) -> Iterator[BeamHit]:
+        columns = self.digits.T.tolist()  # one list per position
+        # hits share equal rq and equal opq tuples: fewer live objects to collect
+        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+        rq = list(zip(*columns[:self._n_rq]))
+        opq = list(zip(*columns[self._n_rq:])) if self._n_rq < len(columns) else [()] * len(rq)
+        sids = map(Sid, map(shared.setdefault, rq, rq), map(shared.setdefault, opq, opq))
+        flags = itertools.repeat(None) if self.in_catalog is None else self.in_catalog.tolist()
+        return map(BeamHit, sids, self.scores.tolist(), flags)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, tuple, BeamHits)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 def beam_search(
     context,
     scorer: Scorer,
@@ -97,7 +139,7 @@ def beam_search(
     trie: SidTrie | None = None,
     scheme: SidScheme | None = None,
     constrained: bool = True,
-) -> list[BeamHit]:
+) -> BeamHits:
     """Length-L beam expansion by summed log-scores.
 
     Constrained mode expands only trie continuations, so every result is a
@@ -142,20 +184,15 @@ def beam_search(
             nodes = [nodes[p].children[d] for p, d in zip(parent.tolist(), digit.tolist())]
 
     order = np.argsort(-acc, kind="stable")
-    columns = prefixes[order].T.tolist()  # one list per position
-    n_rq = len(scheme.rq_sizes)
-    # hits share equal rq and equal opq tuples: fewer live objects to collect
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    rq = list(zip(*columns[:n_rq]))
-    opq = list(zip(*columns[n_rq:])) if n_rq < length else [()] * len(rq)
-    sids = map(Sid, map(shared.setdefault, rq, rq), map(shared.setdefault, opq, opq))
+    digits, scores = prefixes[order], acc[order]
     if constrained:
-        in_catalog: Iterable[bool | None] = itertools.repeat(True)
+        in_catalog: np.ndarray | None = np.ones(len(scores), dtype=bool)
     elif trie is not None:
-        in_catalog = map(trie.terminals.__contains__, zip(*columns))
+        in_catalog = np.fromiter(map(trie.terminals.__contains__, map(tuple, digits.tolist())),
+                                 dtype=bool, count=len(scores))
     else:
-        in_catalog = itertools.repeat(None)
-    return list(map(BeamHit, sids, acc[order].tolist(), in_catalog))
+        in_catalog = None
+    return BeamHits(digits, scores, in_catalog, len(scheme.rq_sizes))
 
 
 def _best(scores: np.ndarray, beam: int) -> np.ndarray:

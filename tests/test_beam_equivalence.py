@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import beam_oracle
 from sidforge.generator import (
+    BeamHit,
+    BeamHits,
     CooccurrenceScorer,
     UniformScorer,
     _best,
@@ -108,6 +110,113 @@ def test_wide_tie_heavy_search_equals_reference():
         expected = beam_oracle.beam_search([0], TableScorer(tables), beam, trie=trie,
                                            constrained=constrained)
         assert repr(hits) == repr(expected)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(search=searches(), empty=st.booleans())
+def test_hit_arrays_equal_reference(search, empty):
+    """``digits``, ``scores`` and ``in_catalog`` hold the reference hits as
+    arrays: codes and flags equal, scores bit for bit."""
+    scheme, trie, scorer, oracle, context, beam, constrained = search
+    if empty and trie is not None:
+        trie = build_trie(SidCatalog({}, scheme))
+    with np.errstate(over="ignore"):
+        hits = beam_search(context, scorer, beam, trie=trie, scheme=scheme,
+                           constrained=constrained)
+        expected = beam_oracle.beam_search(context, oracle, beam, trie=trie, scheme=scheme,
+                                           constrained=constrained)
+    assert isinstance(hits, BeamHits)
+    assert hits.digits.dtype == np.int64 and hits.digits.shape == (len(expected), scheme.length)
+    assert hits.digits.tolist() == [list(h.sid.digits) for h in expected]
+    assert hits.scores.dtype == np.float64
+    assert hits.scores.tobytes() == np.array([h.score for h in expected], dtype=float).tobytes()
+    if trie is None:
+        assert hits.in_catalog is None
+        assert all(h.in_catalog is None for h in expected)
+    else:
+        assert hits.in_catalog.dtype == bool
+        assert hits.in_catalog.tolist() == [h.in_catalog for h in expected]
+
+
+def _wide_hits(constrained=False, trie=True):
+    scheme = SidScheme((4, 3), (2,))
+    tables = [np.array([[0.0, -1.0, -1.0, -2.0]]), np.array([[0.0, -1.0, 0.0]] * 4),
+              np.array([[-0.5, 0.0]] * 3)]
+    catalog = SidCatalog({"a": Sid((0, 0), (1,)), "b": Sid((1, 2), (0,)),
+                          "c": Sid((0, 0), (1,))}, scheme)
+    return beam_search([0], TableScorer(tables), 30, trie=build_trie(catalog) if trie else None,
+                       scheme=scheme, constrained=constrained)
+
+
+def test_hits_read_as_the_list_of_beam_hits():
+    hits = _wide_hits()
+    listed = list(hits)
+    assert len(hits) == len(listed) == 24
+    assert all(type(h) is BeamHit for h in listed)
+    assert [hits[i] for i in range(len(hits))] == listed
+    assert [hits[i] for i in range(-1, -len(hits) - 1, -1)] == listed[::-1]
+    assert hits[np.int64(3)] == listed[3]
+    for index in (24, -25, 100):
+        with pytest.raises(IndexError):
+            hits[index]
+    with pytest.raises(TypeError):
+        hits["0"]
+    for cut in (slice(3), slice(-5, None), slice(1, 20, 3), slice(None, None, -2), slice(30, 40)):
+        part = hits[cut]
+        assert isinstance(part, BeamHits)
+        assert part == listed[cut] and list(part) == listed[cut] and len(part) == len(listed[cut])
+    assert hits == listed and listed == hits and hits == tuple(listed) and hits == hits[:]
+    assert hits != listed[:-1] and hits != listed[::-1] and hits != hits[1:]
+    assert hits != set(listed) and hits != "hits"
+    assert repr(hits) == repr(listed) and str(hits) == str(listed)
+    assert BeamHits.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(hits)
+    assert listed[0] in hits and hits.index(listed[5]) == 5
+
+
+def test_hit_elements_hold_python_values():
+    for constrained, trie, flag in ((False, True, (True, False)), (True, True, (True,)),
+                                    (False, False, (None,))):
+        hits = _wide_hits(constrained, trie)
+        assert hits
+        for hit in (*hits, hits[0], hits[-1]):
+            assert type(hit.score) is float
+            assert hit.in_catalog in flag and type(hit.in_catalog) is type(flag[0])
+            assert all(type(d) is int for d in hit.sid.digits)
+            assert type(hit.sid) is Sid and len(hit.sid.rq) == 2 and len(hit.sid.opq) == 1
+        assert {h.in_catalog for h in hits} == set(flag)
+    listed = list(_wide_hits())  # equal rq and equal opq tuples are one object each
+    assert len({id(h.sid.rq) for h in listed}) == 12 and len({id(h.sid.opq) for h in listed}) == 2
+
+
+def test_empty_trie_gives_empty_hits():
+    scheme = SidScheme((3, 2))
+    trie = build_trie(SidCatalog({}, scheme))
+    hits = beam_search([0], UniformScorer(), 4, trie=trie)
+    assert hits == [] and len(hits) == 0 and hits.digits.shape == (0, 2)
+    wide = beam_search([0], UniformScorer(), 4, trie=trie, constrained=False)
+    assert wide.in_catalog.tolist() == [False] * 4
+
+
+def test_wide_unconstrained_search_builds_no_hit_objects(monkeypatch):
+    scheme = SidScheme((64, 32, 16), (16, 16))
+    rng = np.random.default_rng(3)
+    tables = [rng.normal(size=(prev, vocab))
+              for prev, vocab in zip((1, *scheme.sizes), scheme.sizes)]
+    digits = rng.integers(0, 16, size=(200, 5))
+    trie = build_trie(SidCatalog({f"i{n}": Sid(tuple(d[:3]), tuple(d[3:]))
+                                  for n, d in enumerate(digits.tolist())}, scheme))
+    built = {"BeamHit": 0, "Sid": 0}
+    for cls in (BeamHit, Sid):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+    hits = beam_search([0], TableScorer(tables), 512, trie=trie, constrained=False)
+    assert len(hits) == 512 and built == {"BeamHit": 0, "Sid": 0}
+    list(hits)
+    assert built == {"BeamHit": 512, "Sid": 512}
 
 
 @settings(max_examples=300, deadline=None, database=None)

@@ -12,6 +12,7 @@ import sidforge
 from sidforge import reward
 from sidforge.cli import main
 from sidforge.embedding import Catalog, load_catalog, save_catalog
+from sidforge.generator import CooccurrenceScorer, beam_search, build_trie, cooccurrence_fit
 from sidforge.sids import SidScheme, read_sid_file, read_sid_sequence
 
 LEVELS = "4,3,2"
@@ -460,6 +461,35 @@ class TestCurriculumCommands:
         rows = [l.split("\t") for l in gen_out.read_text().splitlines()]
         assert len(rows) == 16
         assert any(r[3] == "-" for r in rows)
+
+
+class TestGenerateRows:
+    @pytest.mark.parametrize("beam, unconstrained", [(4, False), (64, False), (16, True),
+                                                     (200, True)],
+                             ids=["constrained", "beam_past_catalog", "unconstrained",
+                                  "unconstrained_past_space"])
+    def test_rows_equal_those_rendered_from_hit_objects(self, workspace, tmp_path, beam,
+                                                        unconstrained):
+        items = read_sid_file(workspace / "items.sids", SCHEME)
+        queries = read_sid_file(workspace / "queries.sids", SCHEME).sids()
+        scorer = tmp_path / "scorer.json"
+        cooccurrence_fit([(q, sid) for q in queries for sid in items.sids()[::3]],
+                         SCHEME).save(scorer)
+        out = tmp_path / "gen.tsv"
+        assert main(["generate", "--trie-from", str(workspace / "items.sids"),
+                     "--levels", LEVELS, "--opq", OPQ, "--scorer", str(scorer),
+                     "--context", queries[0].render(), "--beam", str(beam), "--out", str(out),
+                     *(["--unconstrained"] if unconstrained else [])]) == 0
+        trie = build_trie(items)
+        hits = list(beam_search(queries[0], CooccurrenceScorer.load(scorer), beam, trie=trie,
+                                constrained=not unconstrained))
+        expected = "".join(
+            f"{rank}\t{hit.sid.render()}\t{hit.score!r}\t"
+            f"{','.join(trie.items_at(hit.sid.digits) if hit.in_catalog else ()) or '-'}\n"
+            for rank, hit in enumerate(hits, 1))
+        assert out.read_text() == expected
+        assert len(hits) == min(beam, 96 if unconstrained else len(trie.terminals))
+        assert ("\t-\n" in expected) is unconstrained
 
 
 class TestFlagsReachTheApi:

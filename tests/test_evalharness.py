@@ -3,6 +3,7 @@ import pytest
 
 from sidforge.evalharness import (
     EvalCase,
+    EvalReport,
     SyntheticSpec,
     hitrate_at_k,
     mrr_at_k,
@@ -283,6 +284,28 @@ class TestRunEval:
         assert report.mrr == {k: mrr_at_k(filled, k) for k in (1, 3, 10)}
         assert report.n_cases == len(cases)
         assert 0.0 < report.hitrate[10] < 1.0
+
+    def test_run_eval_builds_no_cases(self, bundle_and_cb, monkeypatch):
+        """Cases are scored from ``(truth, ranked)`` pairs, none rebuilt; the
+        report bytes are those of the rebuilt, re-validated cases."""
+        bundle, cb, scorer, cases = _repeated_context_cases(bundle_and_cb)
+        sid_cat = SidCatalog(dict(zip(bundle.items.ids, encode_batch(bundle.items.matrix, cb))),
+                             cb.scheme)
+        trie = build_trie(sid_cat)
+        filled = [EvalCase(c.context, c.truth,
+                           tuple(rank_items(beam_search(c.context, scorer, 8, trie=trie), trie)))
+                  for c in cases]
+        built = []
+        post_init = EvalCase.__post_init__
+        monkeypatch.setattr(EvalCase, "__post_init__",
+                            lambda case: (built.append(case), post_init(case))[1])
+        report = run_eval(cb, scorer, cases, [1, 3, 10], bundle.items, beam=8)
+        assert built == []
+        expected = EvalReport([1, 3, 10], {k: hitrate_at_k(filled, k) for k in (1, 3, 10)},
+                              {k: mrr_at_k(filled, k) for k in (1, 3, 10)},
+                              [cur(sid_cat, p) for p in (1, 2)], icr(sid_cat, use_opq=False),
+                              icr(sid_cat, use_opq=True), len(cases))
+        assert report.render() == expected.render()
 
     def test_one_search_per_distinct_context(self, bundle_and_cb):
         bundle, cb, scorer, cases = _repeated_context_cases(bundle_and_cb)
