@@ -2,8 +2,8 @@
 
 Both fits share seeded k-means++ initialization, the one Lloyd loop and
 fixed iteration caps, so identical (points, k, iters, seed) inputs give
-bit-identical results. Ties in every nearest-centroid decision go to the
-lowest index.
+bit-identical results. Every nearest-centroid label is the exact argmin,
+lowest index on a tie.
 """
 
 from __future__ import annotations
@@ -61,131 +61,143 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def _chunk_edges(n: int, width: int) -> list[int]:
     """Edges of near-equal row chunks of at most ``_CHUNK_ENTRIES // width``
-    rows (at least one): chunk ``c`` is rows ``edges[c]:edges[c + 1]``.
-
-    Equal chunks leave no small remainder: BLAS may take another code path
-    for a product of a few rows and round it differently, while large chunks
-    round exactly as one product over all rows.
-    """
+    rows (at least one): chunk ``c`` is rows ``edges[c]:edges[c + 1]``, so no
+    more than ``_CHUNK_ENTRIES`` distances exist at once."""
     chunks = -(-n // max(1, _CHUNK_ENTRIES // width))
     return [c * n // chunks for c in range(chunks + 1)] if chunks else [0]
 
 
-def _block_nearest(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest column per row of a distance block and its distance clamped at 0.
-
-    Ties go to the lowest index: the argmin of the clamped distances is the
-    first column at or below 0 when a row has a negative rounded distance,
-    else the plain argmin.
-    """
-    j = d.argmin(axis=1)
-    m = d[np.arange(d.shape[0]), j]
-    neg = m < 0.0
-    if neg.any():
-        j[neg] = np.argmax(d[neg] <= 0.0, axis=1)
-        m[neg] = 0.0
-    return j, m
+def _row_norms(points: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, without an (n, d) temporary."""
+    return np.sqrt(np.einsum("ij,ij->i", points, points))
 
 
-def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest table row per point and its squared distance (clamped at 0).
+def _rounding(reach: np.ndarray | float, terms: float, d: int, dtype: type):
+    """``terms (eps r^2 + (d + 1) tiny (1 + r))`` at ``r = reach``, for the
+    eps and smallest normal ``tiny`` of ``dtype``. At ``terms = 4 (d + 3)`` it
+    bounds the error of ``||p||^2 - 2 p.t + ||t||^2`` (or ``||t||^2 - 2 p.t``)
+    in ``dtype`` from float64 ``p``, ``t`` with ``||p|| + ||t|| <= r``: sums
+    of d + 1 products in any order (Higham's gamma), plus a cast to float32
+    (``(2u + u^2) 2 ||p|| ||t|| + u ||t||^2``, ``u = eps / 2``), err by under
+    ``(d + 3) u r^2``; a value below the normal range, by tiny at most."""
+    info = np.finfo(dtype)
+    return terms * (float(info.eps) * reach**2 + (d + 1) * float(info.tiny) * (1.0 + reach))
 
-    Rows go through in the chunks of ``_chunk_edges``, so no more than
-    ``_CHUNK_ENTRIES`` distances exist at once; ties go to the lowest index.
-    """
-    n = points.shape[0]
-    neg2_table_t = (-2.0 * table).T
+
+def _folded(points: np.ndarray, table: np.ndarray, rotation: np.ndarray | None):
+    """The columns ``-2 w_j`` of a (d, k) array (``w_j = R t_j`` for ``R =
+    rotation``, else ``t_j``), the ``||t_j||^2``, each point's reach ``||p||
+    + max(||t_j||, ||w_j||)`` and the terms of its ``_rounding``.
+
+    ``||p R - t||^2 - ||p R||^2 = ||t||^2 - 2 p.(R t)`` in every column, so
+    ``p`` is labelled without a rotated batch. Rounding ``R t_j`` (s columns
+    in R) moves ``2 p.w_j`` by at most ``2 gamma_s ||p|| ||R||_F ||t_j|| <=
+    s ||R||_F eps r^2 / 4``, hence ``s ||R||_F`` more terms."""
     table_sq = np.sum(table**2, axis=1)
-    edges = _chunk_edges(n, table.shape[0])
-    idx = np.empty(n, dtype=np.int64)
-    dist = np.empty(n)
-    for lo, hi in zip(edges, edges[1:]):
-        idx[lo:hi], dist[lo:hi] = _block_nearest(_dist_block(points[lo:hi], neg2_table_t, table_sq))
-    return idx, dist
+    terms = 4.0 * (points.shape[1] + 3)
+    cols, widest = table, table_sq.max()
+    if rotation is not None:
+        cols = table @ rotation.T
+        widest = max(widest, np.sum(cols**2, axis=1).max())
+        terms += rotation.shape[1] * float(np.linalg.norm(rotation))
+    return (-2.0 * cols).T, table_sq, _row_norms(points) + np.sqrt(widest), terms
 
 
-def _nearest_rows(points: np.ndarray, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``nearest(points, table)[0][rows]``, recomputing only the
-    ``_chunk_edges`` chunks that hold those rows, each with the same call
-    ``nearest`` makes for it.
-    """
-    edges = np.array(_chunk_edges(points.shape[0], table.shape[0]))
-    chunks, chunk = np.unique(np.searchsorted(edges, rows, side="right") - 1, return_inverse=True)
-    neg2_table_t = (-2.0 * table).T
-    table_sq = np.sum(table**2, axis=1)
-    labels = np.empty(rows.size, dtype=np.int64)
-    for c, (lo, hi) in enumerate(zip(edges[chunks], edges[chunks + 1])):
-        sel = chunk == c
-        labels[sel] = _block_nearest(_dist_block(points[lo:hi], neg2_table_t, table_sq))[0][rows[sel] - lo]
+def _exact_labels(points: np.ndarray, table: np.ndarray, near: np.ndarray,
+                  rotation: np.ndarray | None) -> np.ndarray:
+    """Per row of ``points``, the column with the smallest exact ``||p R -
+    t_j||^2`` (``R`` the identity when ``rotation`` is None) among those its
+    row of the bool ``near`` marks, lowest index on a tie. Every float64 is
+    a multiple of 2^-1074, so scaled by 2^1074 all values are Python
+    integers, and nothing rounds."""
+    def scaled(values: np.ndarray) -> list[int]:
+        return [a << (1075 - b.bit_length())
+                for a, b in map(float.as_integer_ratio, values.tolist())]
+
+    rot = None if rotation is None else [scaled(col) for col in rotation.T]
+    labels = np.empty(points.shape[0], dtype=np.int64)
+    for i, point in enumerate(points):
+        p, shift = scaled(point), 0
+        if rot is not None:                            # p R, scaled by 2^2148
+            p, shift = [sum(a * b for a, b in zip(p, col)) for col in rot], 1074
+        cands = np.flatnonzero(near[i])
+        dists = [sum((a - (b << shift)) ** 2 for a, b in zip(p, scaled(table[j]))) for j in cands]
+        labels[i] = cands[dists.index(min(dists))]
     return labels
 
 
-# Tables narrower than this take ``nearest`` directly: below the paper's
-# narrowest hierarchy level the float32 pass saves less than it costs.
-_SCREEN_MIN_WIDTH = 512
+def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's label, the exact argmin: the table row with the smallest
+    exact squared distance, lowest index on a tie, so no other point of the
+    call changes it. Also that row's float64 distance, clamped at 0.
+
+    A float64 distance ``d_j`` is within ``E = _rounding(r, 4 (d + 3), d,
+    float64)`` of the exact ``D_j``. A row keeps its argmin ``c`` if every
+    other ``d_j > d_c + 2E``, as then ``D_j >= d_j - E > d_c + E >= D_c``;
+    else ``_exact_labels`` settles it over the columns with ``d_j <= d_c +
+    2E``, which hold every exact minimizer m: ``d_m <= D_m + E <= D_c + E``.
+    """
+    return _nearest(points, table, None)
+
+
+def _nearest(points: np.ndarray, table: np.ndarray,
+             rotation: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``nearest``; with ``rotation``, the labels of ``points @ rotation`` (``_folded``)."""
+    n, d = points.shape
+    neg2_cols_t, table_sq, reach, terms = _folded(points, table, rotation)
+    margin = 2.0 * _rounding(reach, terms, d, np.float64)
+    idx = np.empty(n, dtype=np.int64)
+    dist = np.empty(n)
+    edges = _chunk_edges(n, table.shape[0])
+    for lo, hi in zip(edges, edges[1:]):
+        block = _dist_block(points[lo:hi], neg2_cols_t, table_sq)
+        at = np.arange(hi - lo)
+        j = block.argmin(axis=1)
+        best = block[at, j]
+        block[at, j] = np.inf
+        open_ = np.flatnonzero(~(block.min(axis=1) - best > margin[lo:hi]))   # none when k == 1
+        block[at, j] = best
+        if open_.size:
+            near = block[open_] <= (best[open_] + margin[lo + open_])[:, None]
+            j[open_] = _exact_labels(points[lo + open_], table, near, rotation)
+        idx[lo:hi] = j
+        dist[lo:hi] = np.maximum(block[at, j], 0.0)
+    return idx, dist
+
+
 # The screen runs only while max ||p|| + max ||t|| stays below this: its
 # square, 2^100, bounds every float32 value it makes, far inside float32
 # range (~3.4e38 = 2^128), so no cast, product or sum overflows.
 _SCREEN_MAX_REACH = 2.0**50
 
 
-def nearest_labels(points: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``nearest(points, table)[0]`` bit for bit, through a float32 screen.
+def nearest_labels(points: np.ndarray, table: np.ndarray,
+                   rotation: np.ndarray | None = None) -> np.ndarray:
+    """``nearest(points, table)[0]`` through a float32 screen. With a (d, s)
+    ``rotation``, the labels of ``points @ rotation`` against the (k, s)
+    ``table`` by ``_folded``'s columns; only ``quantizer.descend`` passes one.
 
-    For a table of at least ``_SCREEN_MIN_WIDTH`` rows, each chunk of
-    ``_chunk_edges`` rows is cast to float32 alone, into a buffer whose last
-    column is 1, and scored by one product with the float32 columns
-    ``(-2 t_j, ||t_j||^2)``: ``e_j = p . (-2 t_j) + ||t_j||^2``, with
-    ``||p||^2`` left out as it is the same in every column. A row takes the
-    argmin ``c`` of its ``e`` when the second-smallest value exceeds ``e_c``
-    by more than ``2 (E32 + E64)``; any other row is doubtful, and all
-    doubtful rows of the call take their labels from ``_nearest_rows``
-    together.
+    Each chunk of ``_chunk_edges`` rows is cast to float32 alone, into a
+    buffer whose last column is 1, and scored by one product with the
+    float32 columns ``(-2 w_j, ||t_j||^2)``: ``e_j = p.(-2 w_j) + ||t_j||^2``
+    (``||p||^2`` is the same in every column), within ``E32 = _rounding(r,
+    terms, d, float32)`` of ``D_j - ||p||^2``. A row takes the argmin ``c`` of
+    its ``e`` when every other ``e_j > e_c + 2 E32``, as then ``D_j - D_c >=
+    (e_j - E32) - (e_c + E32) > 0``; the call's other rows go to one
+    ``_nearest`` call. The float64 rounding of ``||t||^2``, of the bounds and
+    of the gap is orders of magnitude below the margin.
 
-    With ``r = ||p|| + max ||t||``, ``E64 = 4 (d + 3) eps64 r^2`` is
-    ``BoundedNearest``'s bound on the float64 kernel's rounding, and
-    ``E32 = 4 (d + 3) eps32 r^2 + 4 (d + 3) tiny32 (1 + r)`` bounds
-    ``|e_j - (D_j - ||p||^2)|``, ``D_j`` the true squared distance. With
-    ``u = eps32 / 2``: rounding ``p``, ``t`` and the float64 ``||t||^2`` to
-    float32 moves ``||t||^2 - 2 p.t`` by at most ``(2u + u^2) 2 ||p|| ||t||
-    + u ||t||^2``, and the float32 product of d + 1 terms, in any summation
-    order, adds at most ``(d + 1) u / (1 - (d + 1) u)`` times
-    ``2 ||p|| ||t|| + ||t||^2``. That is under ``(d + 3) u r^2``, an eighth
-    of the first term. The second term floors it for underflow: an input or
-    a product below float32's normal range (``tiny32`` = 2^-126), flushed to
-    zero or not, is off by up to tiny32 instead of relatively, and the other
-    factor's norm scales that. The float64 kernel's own underflow is
-    ~2^-1022 at most.
-
-    Proof for an accepted row: every ``j != c`` has ``D_j - D_c >=
-    (e_j - E32) - (e_c + E32) > 2 E64``, so its float64 distance exceeds
-    ``D_c + E64 >= E64 >= 0``, and so that of column ``c``, which is at most
-    ``D_c + E64``. So ``c`` is the unique float64 argmin and the only column
-    that can round to 0 or below: ``nearest``'s clamping and lowest-index
-    rules both pick it. Exactly tied columns are never accepted, since
-    ``E32 > 0``. The float64 rounding of ``||t||^2``, of the bounds and of
-    the gap is orders of magnitude below the margin.
-
-    A narrower table, or magnitudes that could leave float32 range (checked
-    before any cast), go straight to ``nearest``. No float32 copy of the
-    whole input is made; no more than ``_CHUNK_ENTRIES`` scores exist at once.
+    Magnitudes that could leave float32 range (checked before any cast) go
+    straight to ``_nearest``. No float32 copy of the whole input is made; no
+    more than ``_CHUNK_ENTRIES`` scores exist at once.
     """
     n, d = points.shape
-    k = table.shape[0]
-    if k < _SCREEN_MIN_WIDTH or n == 0:
-        return nearest(points, table)[0]
-    table_sq = np.sum(table**2, axis=1)
-    reach = _row_norms(points)
-    reach += np.sqrt(table_sq.max())
-    if not reach.max() < _SCREEN_MAX_REACH:          # NaN goes to nearest too
-        return nearest(points, table)[0]
-    margin = 8.0 * (d + 3) * float(np.finfo(np.float32).eps + np.finfo(np.float64).eps) * reach**2
-    margin += 8.0 * (d + 3) * float(np.finfo(np.float32).tiny) * (1.0 + reach)
-    columns = np.empty((d + 1, k), dtype=np.float32)
-    columns[:d] = table.T
-    columns[:d] *= -2.0
-    columns[d] = table_sq
-    edges = _chunk_edges(n, k)
+    neg2_cols_t, table_sq, reach, terms = _folded(points, table, rotation)
+    if n == 0 or not reach.max() < _SCREEN_MAX_REACH:   # NaN goes to _nearest too
+        return _nearest(points, table, rotation)[0]
+    margin = 2.0 * _rounding(reach, terms, d, np.float32)
+    columns = np.vstack([neg2_cols_t, table_sq]).astype(np.float32, order="C")
+    edges = _chunk_edges(n, table.shape[0])
     rows = np.empty((max(np.diff(edges)), d + 1), dtype=np.float32)
     rows[:, d] = 1.0
     labels = np.empty(n, dtype=np.int64)
@@ -203,7 +215,7 @@ def nearest_labels(points: np.ndarray, table: np.ndarray) -> np.ndarray:
         doubt.append(lo + np.flatnonzero(~(gap > margin[lo:hi])))
     doubt = np.concatenate(doubt)
     if doubt.size:
-        labels[doubt] = _nearest_rows(points, table, doubt)
+        labels[doubt] = _nearest(points[doubt], table, rotation)[0]
     return labels
 
 
@@ -223,14 +235,9 @@ def _dist_columns(points: np.ndarray, neg2_table: np.ndarray, table_sq: np.ndarr
     return d
 
 
-def _row_norms(points: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, without an (n, d) temporary."""
-    return np.sqrt(np.einsum("ij,ij->i", points, points))
-
-
 class BoundedNearest:
-    """The Lloyd assignment step: ``nearest(points, centroids)[0]`` bit for
-    bit, computing distances only for points whose label may change.
+    """The Lloyd assignment step: ``nearest(points, centroids)[0]``, the
+    exact argmin, computing distances only for points whose label may change.
 
     Between calls on one point set it keeps Hamerly (2010) bounds per point,
     O(n) floats: an upper bound ``u`` on the distance to its centroid and a
@@ -239,16 +246,13 @@ class BoundedNearest:
     otherwise tightens ``u`` to the distance to its own centroid, and
     computes all k distances only for the points still in doubt.
 
-    ``E = 4 (d + 3) eps (max ||p|| + max ||t||)^2`` bounds the kernel's
-    rounding: ``||p||^2``, ``2 p.t`` and ``||t||^2`` are sums of d products,
-    so for any summation order (Higham's gamma bound, plus two additions) a
-    computed distance is within ``(d + 2) eps / 2 (||p|| + ||t||)^2`` of the
-    true one, several times less than E. A skipped point's true distances
-    differ by more than 2E, which no rounding within E reorders. A computed
-    row is taken only when its second-smallest distance exceeds the smallest
-    by more than 2E; any other is a near-tie, relabelled by ``_nearest_rows``
-    exactly as ``nearest`` labels it. The rounding of the bounds themselves
-    is orders of magnitude below the margin.
+    ``E = _rounding(max ||p|| + max ||t||, 4 (d + 3), d, float64)`` bounds
+    the kernel's rounding. A skipped point's exact squared distances differ
+    by ``l^2 - u^2 >= (l - u)^2 > 2E``, so its centroid stays the unique
+    argmin. A computed row is taken, as in ``nearest``, if its second-
+    smallest distance exceeds the smallest by more than 2E; the near-ties
+    take their labels from one ``nearest`` call. The rounding of the bounds
+    themselves is orders of magnitude below the margin.
 
     The bounds hold while the same ``points`` object comes back; another one
     (or ``restart``) starts over with every point. ``full_rows`` counts the
@@ -277,8 +281,8 @@ class BoundedNearest:
             self._centroids = centroids.copy()
         else:  # a new label array each call: the caller keeps the last one
             self._labels = self._labels.copy()
-        err = 4.0 * (d + 3) * np.finfo(np.float64).eps * (
-            self._point_norm + float(np.sqrt(table_sq.max(initial=0.0)))) ** 2
+        err = _rounding(self._point_norm + float(np.sqrt(table_sq.max(initial=0.0))),
+                        4.0 * (d + 3), d, np.float64)
         doubt = (np.arange(n) if fresh
                  else self._doubtful(points, centroids, float(np.sqrt(2.0 * err))))
         self._settle(points, centroids, doubt, table_sq, err)
@@ -306,7 +310,7 @@ class BoundedNearest:
     def _settle(self, points: np.ndarray, centroids: np.ndarray, doubt: np.ndarray,
                 table_sq: np.ndarray, err: float) -> None:
         """Labels and fresh bounds for the points in ``doubt`` from all their
-        distances; near-ties take their label from ``nearest`` itself."""
+        distances; near-ties take their label from ``nearest``."""
         labels, upper, lower = self._labels, self._upper, self._lower
         k = centroids.shape[0]
         neg2_table = -2.0 * centroids
@@ -326,11 +330,10 @@ class BoundedNearest:
             ties.append(ids[~(second - best > 2.0 * err)])
         self.full_rows += doubt.size
         tie = np.concatenate(ties) if ties else doubt
-        if tie.size == 0:
-            return
         self.tie_rows += tie.size
-        lower[tie] = 0.0                              # a near-tie stays in doubt
-        labels[tie] = _nearest_rows(points, centroids, tie)
+        if tie.size:
+            lower[tie] = 0.0                          # a near-tie stays in doubt
+            labels[tie] = nearest(points[tie], centroids)[0]
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

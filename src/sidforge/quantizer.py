@@ -34,10 +34,11 @@ class RqCodebook:
     balanced_last: bool
 
     def __post_init__(self) -> None:
+        if not self.levels:
+            raise ValueError("need at least one level")
         if len(self.levels) != len(self.level_sizes):
             raise ValueError("level table count does not match level_sizes")
-        self.levels = [float_rows(t, f"level {l + 1} table", empty=True)
-                       for l, t in enumerate(self.levels)]
+        self.levels = [float_rows(t, f"level {l + 1} table") for l, t in enumerate(self.levels)]
         for table, w in zip(self.levels, self.level_sizes):
             if table.shape != (w, self.dim):
                 raise ValueError(f"level table has shape {table.shape}, expected {(w, self.dim)}")
@@ -54,8 +55,7 @@ class OpqCodebook:
 
     def __post_init__(self) -> None:
         self.rotation = float_rows(self.rotation, "rotation", len(self.rotation))
-        self.subspaces = [float_rows(t, f"subspace {s} table", empty=True)
-                          for s, t in enumerate(self.subspaces)]
+        self.subspaces = [float_rows(t, f"subspace {s} table") for s, t in enumerate(self.subspaces)]
         err = float(np.max(np.abs(self.rotation.T @ self.rotation - np.eye(self.dim))))
         if err > 1e-5:
             raise ValueError(f"rotation not orthonormal (max deviation {err:.2e})")
@@ -119,8 +119,6 @@ def _rq_fit_full(
     """rq_fit plus the per-level fit codes (n, L) and final fit residuals."""
     vectors = float_rows(catalog.matrix if isinstance(catalog, Catalog) else catalog, "catalog")
     level_sizes = tuple(int(w) for w in level_sizes)
-    if not level_sizes:
-        raise ValueError("need at least one level")
 
     warnings: list[str] = []
     residual = vectors.copy()
@@ -153,12 +151,12 @@ def _rq_fit_full(
 def descend(
     levels: Sequence[np.ndarray], opq: OpqCodebook, vectors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy nearest-centroid descent; ties break to the lowest index.
+    """Greedy nearest-centroid descent; every label is the exact argmin.
 
     Each table in ``levels`` codes the running residual and is subtracted
-    from it; then each OPQ subspace table codes its slice of the rotated
-    final residual. Returns the (n, L + S) code array and the final
-    hierarchy residual.
+    from it; then each OPQ subspace table codes the final residual under its
+    columns of the rotation, folded into the table (no rotated batch).
+    Returns the (n, L + S) code array and the final hierarchy residual.
     """
     residual = np.array(vectors, dtype=np.float64)
     cols = []
@@ -166,11 +164,10 @@ def descend(
         codes = nearest_labels(residual, table)
         residual -= table[codes]
         cols.append(codes)
-    rotated = residual @ opq.rotation
     offset = 0
     for table in opq.subspaces:
         dsub = table.shape[1]
-        cols.append(nearest_labels(rotated[:, offset:offset + dsub], table))
+        cols.append(nearest_labels(residual, table, opq.rotation[:, offset:offset + dsub]))
         offset += dsub
     return np.stack(cols, axis=1), residual
 
@@ -357,13 +354,13 @@ def load_codebook(path: str | Path) -> RqOpqCodebook:
         blob = read_exact(blob_len, "config block")
         try:
             config = json.loads(blob.decode("utf-8"))
-            d = int(config["dim"])
-            level_sizes = tuple(int(w) for w in config["level_sizes"])
-            code_sizes = [int(c) for c in config["opq_code_sizes"]]
-            balanced_last = bool(config["balanced_last"])
+            d, balanced_last = config["dim"], config["balanced_last"]
+            level_sizes, code_sizes = tuple(config["level_sizes"]), tuple(config["opq_code_sizes"])
+            sizes = (d, *level_sizes, *code_sizes)
+            if type(balanced_last) is not bool or {type(v) for v in sizes} != {int}:
+                raise TypeError("dim and sizes must be JSON integers, balanced_last a JSON bool")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: bad config block ({exc!r})") from None
-        sizes = (d, *level_sizes, *code_sizes)
         if not level_sizes or not code_sizes or min(sizes) < 1 or d % len(code_sizes):
             raise ValueError(f"{path}: inconsistent config {config}")
         dsub = d // len(code_sizes)

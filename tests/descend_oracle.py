@@ -1,6 +1,8 @@
-"""Reference encode path: ``quantizer.descend`` as it was before wide tables
-went through the float32 screen, with every label from ``kmeans.nearest``.
-Tests compare the library's codes and residuals with these, bit for bit."""
+"""Reference encode path: ``quantizer.descend`` as it was before tables went
+through the float32 screen, with every label from ``kmeans.nearest`` and the
+OPQ digits from a rotated batch. Tests compare the library's codes and
+residuals with these, bit for bit; the rotated batch rounds each row by the
+batch's shape, so an OPQ digit may differ only at a near-tie."""
 
 from __future__ import annotations
 

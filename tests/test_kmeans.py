@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from sidforge import kmeans
 from sidforge.kmeans import (
     BoundedNearest,
     _balanced_assign,
-    _nearest_rows,
     _repair_empty,
     _sq_dists,
     _update_means,
@@ -22,7 +22,15 @@ from sidforge.kmeans import (
     nearest,
     nearest_labels,
 )
-from sidforge.quantizer import fit_codebook, opq_fit
+from sidforge.quantizer import (
+    OpqCodebook,
+    RqCodebook,
+    RqOpqCodebook,
+    encode,
+    encode_batch,
+    fit_codebook,
+    opq_fit,
+)
 
 
 def sse_of_partition(points, groups):
@@ -95,6 +103,20 @@ def one_shot_nearest(points, table):
     return idx, d2[np.arange(len(points)), idx]
 
 
+def exact_argmin(points, table, rotation=None):
+    """Oracle: per point the lowest index of the smallest exact squared
+    distance to ``table``, in ``Fraction``s; with ``rotation``, the labels
+    of the exact product ``points @ rotation``."""
+    labels = []
+    for p in points.tolist():
+        p = [Fraction(x) for x in p]
+        if rotation is not None:
+            p = [sum(a * Fraction(r) for a, r in zip(p, col)) for col in rotation.T.tolist()]
+        dists = [sum((a - Fraction(b)) ** 2 for a, b in zip(p, t)) for t in table.tolist()]
+        labels.append(dists.index(min(dists)))
+    return np.array(labels, dtype=np.int64)
+
+
 class TestNearest:
     def test_ragged_chunks_match_one_shot_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(0)
@@ -116,7 +138,7 @@ class TestNearest:
         # a one-row product runs as matrix-vector, which may sum in another order
         np.testing.assert_allclose(dist, ref_dist, rtol=1e-12, atol=1e-12)
 
-    def test_negative_rounded_distances_clamp_to_first_index(self, monkeypatch):
+    def test_negative_rounded_distances_take_the_exact_argmin(self, monkeypatch):
         # far from the origin, ||p||^2 - 2p.t + ||t||^2 cancels badly and
         # rounds below zero for several centroids of the same point
         rng = np.random.default_rng(2)
@@ -124,12 +146,10 @@ class TestNearest:
         table = 1e6 + rng.normal(scale=1e-4, size=(50, 4))
         monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", 50 * 120)
         idx, dist = nearest(points, table)
-        ref_idx, ref_dist = one_shot_nearest(points, table)
         raw = np.sum(points**2, axis=1)[:, None] - 2.0 * points @ table.T + np.sum(table**2, axis=1)
         assert np.sum(raw < 0, axis=1).max() >= 2
-        assert np.array_equal(idx, ref_idx)
-        assert np.array_equal(dist, ref_dist)
-        assert np.all(dist >= 0.0)
+        assert np.array_equal(idx, exact_argmin(points, table))
+        assert np.array_equal(dist, np.maximum(raw[np.arange(400), idx], 0.0))
 
     def test_exact_ties_go_to_lowest_index_in_every_chunk(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -157,36 +177,62 @@ def tied_table(rng, k, d, distinct):
     return points, table
 
 
-class TestNearestRows:
-    @pytest.mark.parametrize("d, k", [(33, 597), (32, 1021), (16, 512), (13, 517)])
-    def test_rows_match_nearest_on_tied_tables(self, d, k):
+def count_settled(monkeypatch):
+    """A list that grows by the row count of every exact settle."""
+    rows, settle = [], kmeans._exact_labels
+    monkeypatch.setattr(kmeans, "_exact_labels",
+                        lambda p, *args: rows.append(p.shape[0]) or settle(p, *args))
+    return rows
+
+
+def assert_batch_invariant(points, codebook):
+    """Every row's code is the same alone, in the whole batch and in every
+    split of it."""
+    batch = encode_batch(points, codebook)
+    assert [encode(x, codebook) for x in points] == batch
+    for pieces in (7, 301):
+        split = np.array_split(points, pieces)
+        assert [sid for part in split for sid in encode_batch(part, codebook)] == batch
+
+
+def one_level_codebook(table, subspaces, rotation=None):
+    d = table.shape[1]
+    return RqOpqCodebook(RqCodebook([table], (table.shape[0],), False),
+                         OpqCodebook(np.eye(d) if rotation is None else rotation, subspaces))
+
+
+class TestBatchInvariance:
+    """A label is the exact argmin, so no other row of a batch changes it."""
+
+    @pytest.mark.parametrize("d, k", [(33, 597), (16, 512), (13, 517), (6, 511), (9, 37)])
+    def test_tripled_level_tables(self, d, k):
         rng = np.random.default_rng(d * k)
         points, table = tied_table(rng, k, d, max(1, k // 3))
-        picked = np.sort(rng.choice(900, size=300, replace=False))
-        for rows in (np.arange(900), picked, picked[::-1], picked[-1:], picked[:1]):
-            assert np.array_equal(_nearest_rows(points, table, rows), nearest(points, table)[0][rows])
+        assert_batch_invariant(points, one_level_codebook(table, [rng.normal(size=(4, d))]))
 
-    @pytest.mark.parametrize("entries", [1, 16, 37 * 23], ids=["one-row", "few-rows", "ragged"])
-    def test_small_and_ragged_chunks(self, monkeypatch, entries):
-        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", entries)
-        rng = np.random.default_rng(entries)
-        points, table = tied_table(rng, 37, 9, 5)
-        rows = np.sort(rng.choice(900, size=200, replace=False))
-        assert np.array_equal(_nearest_rows(points, table, rows), nearest(points, table)[0][rows])
+    @pytest.mark.parametrize("k", [40, 600])
+    def test_near_tied_level_tables(self, k):
+        # duplicated rows nudged by one ulp: only exact arithmetic orders them
+        rng = np.random.default_rng(k)
+        points, table = tied_table(rng, k, 8, k // 4)
+        nudge = rng.random(table.shape) < 0.3
+        table = np.where(nudge, np.nextafter(table, np.inf), table)
+        points = table[rng.integers(k, size=900)]
+        assert_batch_invariant(points, one_level_codebook(table, [rng.normal(size=(4, 8))]))
 
-    def test_only_chunks_holding_rows_are_computed(self, monkeypatch):
-        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", 37 * 100)
-        rng = np.random.default_rng(7)
-        points, table = tied_table(rng, 37, 9, 5)
-        edges = kmeans._chunk_edges(900, 37)
-        blocks = []
-        dist_block = kmeans._dist_block
-        monkeypatch.setattr(kmeans, "_dist_block",
-                            lambda p, t, sq: blocks.append(p.shape[0]) or dist_block(p, t, sq))
-        rows = np.array([edges[3] + 1, edges[1], edges[3]])
-        labels = _nearest_rows(points, table, rows)
-        assert blocks == [edges[2] - edges[1], edges[4] - edges[3]]
-        assert np.array_equal(labels, nearest(points, table)[0][rows])
+    @pytest.mark.parametrize("k, nudged", [(30, False), (600, True)], ids=["tripled", "ulp-apart"])
+    def test_tied_opq_subspace_tables(self, k, nudged):
+        # the rotated residual lands on subspace rows that repeat, exactly or
+        # one ulp apart; a rotated batch rounds each row by its batch's shape
+        rng = np.random.default_rng(k + nudged)
+        rotation, _ = np.linalg.qr(rng.normal(size=(12, 12)))
+        subspaces = [tied_table(rng, k, 6, max(1, k // 3))[1] for _ in range(2)]
+        if nudged:
+            subspaces = [np.where(rng.random(t.shape) < 0.3, np.nextafter(t, np.inf), t)
+                         for t in subspaces]
+        picks = [t[rng.integers(k, size=600)] for t in subspaces]
+        points = np.concatenate(picks, axis=1) @ rotation.T
+        assert_batch_invariant(points, one_level_codebook(np.zeros((1, 12)), subspaces, rotation))
 
 
 def _screen_case(rng, n, k, d, kind):
@@ -215,11 +261,10 @@ class TestNearestLabels:
         kind=st.sampled_from(["random", "duplicate", "near-duplicate", "on-centroids", "zeros"]),
         exponent=st.integers(min_value=-30, max_value=20),
         entries=st.sampled_from([1 << 18, 37 * 23, 1]),
-        screen_all=st.booleans(),
         sliced=st.booleans(),
         seed=st.integers(min_value=0, max_value=10_000),
     )
-    def test_equals_nearest(self, n, k, d, kind, exponent, entries, screen_all, sliced, seed):
+    def test_equals_nearest(self, n, k, d, kind, exponent, entries, sliced, seed):
         # scales from 1e-30 to past the float32 guard (2^50 ~ 1.1e15); the
         # suite's warning filter turns any overflow RuntimeWarning into a failure
         rng = np.random.default_rng(seed)
@@ -229,8 +274,6 @@ class TestNearestLabels:
             points = np.concatenate([rng.normal(size=(n, 2)), points], axis=1)[:, 2:]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kmeans, "_CHUNK_ENTRIES", entries)
-            if screen_all:
-                mp.setattr(kmeans, "_SCREEN_MIN_WIDTH", 1)
             got = nearest_labels(points, table)
             assert np.array_equal(got, nearest(points, table)[0])
 
@@ -241,14 +284,10 @@ class TestNearestLabels:
         table = rng.normal(scale=10.0, size=(512, 8))
         table[500:510] = table[:10]
         points = table[rng.integers(500, size=900)] + rng.normal(scale=0.01, size=(900, 8))
-        calls = []
-        monkeypatch.setattr(kmeans, "_nearest_rows",
-                            lambda p, t, rows: calls.append(rows) or _nearest_rows(p, t, rows))
+        settled = count_settled(monkeypatch)
         labels = nearest_labels(points, table)
+        assert sum(settled) == np.count_nonzero(labels < 10) > 0
         assert np.array_equal(labels, nearest(points, table)[0])
-        (rows,) = calls
-        assert rows.tolist() == np.flatnonzero(labels < 10).tolist()
-        assert rows.size > 0
 
     def test_clear_rows_compute_no_float64_distances(self, monkeypatch):
         rng = np.random.default_rng(51)
@@ -268,16 +307,70 @@ class TestNearestLabels:
             warnings.simplefilter("error")
             assert np.array_equal(nearest_labels(points, table), nearest(points, table)[0])
 
-    def test_narrow_tables_go_to_nearest(self, monkeypatch):
-        rng = np.random.default_rng(53)
-        points, table = rng.normal(size=(300, 4)), rng.normal(size=(511, 4))
-        monkeypatch.setattr(kmeans, "_row_norms", None)        # the screen's first step
-        assert np.array_equal(nearest_labels(points, table), nearest(points, table)[0])
-
-    def test_golden_fits_hold_with_every_table_screened(self, monkeypatch):
-        monkeypatch.setattr(kmeans, "_SCREEN_MIN_WIDTH", 1)
+    def test_golden_fits_hold_with_every_table_screened(self):
         TestLloydFitGolden().test_warm_heavy_opq_fit_bytes()
         TestBalancedFitGolden().test_small_balanced_fit_codebook_bytes()
+
+
+def _oracle_case(rng, n, k, d, kind):
+    """Small points and tables with exact ties (``grid``: integers and
+    midpoints), exact duplicates, duplicates one ulp apart, or none."""
+    if kind == "grid":
+        return rng.integers(-4, 5, size=(n, d)) / 2.0, rng.integers(-2, 3, size=(k, d)).astype(float)
+    table = rng.normal(size=(k, d))
+    if kind == "random":
+        return rng.normal(size=(n, d)), table
+    table = table[rng.integers(max(1, k // 2), size=k)]
+    if kind == "ulps":
+        table = np.where(rng.random(table.shape) < 0.3, np.nextafter(table, np.inf), table)
+    return table[rng.integers(k, size=n)], table
+
+
+class TestExactArgmin:
+    """Every kernel returns the exact argmin, checked against ``Fraction``s,
+    at scales from float64's subnormals to beyond the float32 screen."""
+
+    cases = dict(
+        n=st.integers(min_value=0, max_value=25),
+        k=st.integers(min_value=1, max_value=12),
+        d=st.integers(min_value=1, max_value=6),
+        kind=st.sampled_from(["grid", "duplicate", "ulps", "random"]),
+        exponent=st.sampled_from([-1070, -1000, -520, 0, 60, 300]) | st.integers(-60, 60),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(**cases)
+    def test_nearest_and_nearest_labels(self, n, k, d, kind, exponent, seed):
+        case = _oracle_case(np.random.default_rng(seed), n, k, d, kind)
+        points, table = (np.ldexp(a, exponent) for a in case)
+        expected = exact_argmin(points, table)
+        assert np.array_equal(nearest(points, table)[0], expected)
+        assert np.array_equal(nearest_labels(points, table), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**cases, width=st.integers(min_value=1, max_value=6))
+    def test_nearest_labels_with_a_rotation(self, n, k, d, kind, exponent, seed, width):
+        # a (d, s) block of an orthonormal matrix; the rotated points land on
+        # the table's ties, as the residuals of an OPQ fit would
+        rng = np.random.default_rng(seed)
+        s = min(width, d)
+        rotation = np.linalg.qr(rng.normal(size=(d, d)))[0][:, d - s:]
+        rotated, table = _oracle_case(rng, n, k, s, kind)
+        points = np.ldexp(rotated @ rotation.T, exponent)
+        table = np.ldexp(table, exponent)
+        assert np.array_equal(nearest_labels(points, table, rotation),
+                              exact_argmin(points, table, rotation))
+
+    @settings(max_examples=100, deadline=None)
+    @given(**cases)
+    def test_bounded_nearest(self, n, k, d, kind, exponent, seed):
+        rng = np.random.default_rng(seed)
+        points, table = _oracle_case(rng, max(n, 1), k, d, kind)
+        points, table = np.ldexp(points, exponent), np.ldexp(table, exponent)
+        step = BoundedNearest()
+        for moved in (table, table[::-1].copy(), table + np.ldexp(0.25, exponent)):
+            assert np.array_equal(step(points, moved), exact_argmin(points, moved))
 
 
 class TestUpdateMeans:
@@ -478,12 +571,11 @@ class TestBoundedNearest:
     def test_duplicate_centroids_take_near_ties_from_exact_rows(self, monkeypatch, d, k):
         rng = np.random.default_rng(d + k)
         points, table = tied_table(rng, k, d, max(1, k // 3))
-        calls = []
-        monkeypatch.setattr(kmeans, "_nearest_rows",
-                            lambda p, t, rows: calls.append(rows) or _nearest_rows(p, t, rows))
+        settled = count_settled(monkeypatch)
         step = BoundedNearest()
-        assert np.array_equal(step(points, table), nearest(points, table)[0])
-        assert step.tie_rows == sum(rows.size for rows in calls) > 0
+        labels = step(points, table)
+        assert step.tie_rows == sum(settled) > 0
+        assert np.array_equal(labels, nearest(points, table)[0])
 
     @settings(max_examples=80, deadline=None)
     @given(

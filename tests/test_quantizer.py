@@ -232,11 +232,11 @@ class TestScreenedDescend:
         return cb, vecs
 
     def _fallback_rows(self, monkeypatch, cb, vecs):
-        """Asserts equal codes and residuals; returns how many rows the
-        screen left to the float64 kernel."""
-        exact, rows = kmeans._nearest_rows, []
-        monkeypatch.setattr(kmeans, "_nearest_rows",
-                            lambda p, t, r: rows.append(r.size) or exact(p, t, r))
+        """Asserts equal codes and residuals; returns how many rows were
+        settled in exact arithmetic."""
+        exact, rows = kmeans._exact_labels, []
+        monkeypatch.setattr(kmeans, "_exact_labels",
+                            lambda p, *args: rows.append(p.shape[0]) or exact(p, *args))
         codes, residual = descend(cb.rq.levels, cb.opq, vecs)
         ref_codes, ref_residual = descend_oracle.descend(cb.rq.levels, cb.opq, vecs)
         assert np.array_equal(codes, ref_codes)
@@ -338,6 +338,18 @@ class TestCodebookTablesChecked:
         tables[1][2, 0] = np.inf
         with pytest.raises(ValueError, match="subspace 1 table row 2 holds a non-finite value"):
             OpqCodebook(np.eye(4), tables)
+
+    def test_no_levels(self):
+        with pytest.raises(ValueError, match="need at least one level"):
+            RqCodebook([], (), True)
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda: RqCodebook([np.zeros((2, 4)), np.zeros((0, 4))], (2, 0), True), "level 2 table"),
+        (lambda: OpqCodebook(np.eye(4), [np.zeros((2, 2)), np.zeros((0, 2))]), "subspace 1 table"),
+    ], ids=["level", "subspace"])
+    def test_table_without_rows(self, make, what):
+        with pytest.raises(ValueError, match=f"{what} must be a nonempty"):
+            make()
 
     @pytest.mark.parametrize("table, value", [("rotation", np.nan), ("subspace", np.inf)])
     def test_load_names_path(self, random_codebook, tmp_path, table, value):
@@ -498,6 +510,28 @@ class TestSerialization:
         self._with_config(saved, config)
         with pytest.raises(ValueError, match=f"{saved}: "):
             load_codebook(saved)
+
+    @pytest.mark.parametrize("edit", [
+        {"dim": 4.9},
+        {"level_sizes": [3.5, 1]},
+        {"level_sizes": [3, True]},
+        {"opq_code_sizes": ["2", 2]},
+        {"balanced_last": "no"},
+    ], ids=["float-dim", "float-size", "bool-size", "string-size", "string-flag"])
+    def test_config_values_are_not_coerced(self, tmp_path, edit):
+        # every edit names a value that int() or bool() would turn into the saved one
+        rng = np.random.default_rng(14)
+        levels = [rng.normal(size=(3, 4)), rng.normal(size=(1, 4))]
+        cb = RqOpqCodebook(RqCodebook(levels, (3, 1), True),
+                           OpqCodebook(np.eye(4), [rng.normal(size=(2, 2))] * 2))
+        path = tmp_path / "cb.bin"
+        save_codebook(cb, path)
+        config = {"balanced_last": True, "dim": 4, "level_sizes": [3, 1], "opq_code_sizes": [2, 2]}
+        self._with_config(path, config)
+        assert load_codebook(path).scheme.rq_sizes == (3, 1)
+        self._with_config(path, {**config, **edit})
+        with pytest.raises(ValueError, match=f"{path}: bad config block"):
+            load_codebook(path)
 
     def test_config_rewrite_round_trips(self, saved):
         config = {"balanced_last": True, "dim": 4, "level_sizes": [3, 2], "opq_code_sizes": [2, 2]}
