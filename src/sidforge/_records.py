@@ -32,6 +32,13 @@ def _json_object(text: str) -> dict:
     return obj
 
 
+def id_text(value: Any) -> str:
+    """``value`` checked to be a JSON id string."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected an id string, got {value!r}")
+    return value
+
+
 def id_list(value: Any) -> list[str]:
     """``value`` checked to be a JSON list of id strings, not one string."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):

@@ -7,6 +7,7 @@ sorted iteration, and repr-based float rendering make reruns byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -17,7 +18,8 @@ import numpy as np
 from . import curriculum as curr
 from . import evalharness as ev
 from . import reward as rw
-from ._records import LocatedError, id_list, iter_records, read_json, read_records, write_records
+from ._records import (LocatedError, id_list, id_text, iter_records, read_json, read_records,
+                       write_records)
 from .embedding import (
     Catalog,
     cosine_filter,
@@ -234,7 +236,8 @@ def _read_sessions(path: str, item_rows: dict[str, int], query_sids: dict[str, s
 
     def session(obj: dict) -> tuple | None:
         # a session id is required, though the records do not name it
-        _, query_id, clicked = obj["session_id"], obj["query_id"], obj["clicked_item"]
+        _, query_id, clicked = map(id_text, (obj["session_id"], obj["query_id"],
+                                             obj["clicked_item"]))
         short_ids = id_list(obj.get("short_clicks", []))
         long_ids = id_list(obj.get("long_clicks", []))
         recent_ids = id_list(obj.get("recent_queries", []))
@@ -398,12 +401,14 @@ def cmd_synth(args) -> None:
     } for sess in bundle.sessions), jsonl=True)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``main`` reuses it."""
     parser = argparse.ArgumentParser(prog="sidforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scheme_flags(p, levels_default=None):
-        p.add_argument("--levels", required=levels_default is None, default=levels_default,
+    def scheme_flags(p):
+        p.add_argument("--levels", required=True,
                        help="comma-joined hierarchy sizes, e.g. 4096,1024,512")
         p.add_argument("--opq", default=None, help="product tail as SUBSPACESxCODES, e.g. 2x256")
 

@@ -38,16 +38,18 @@ def _as_points(points: np.ndarray) -> np.ndarray:
 _CHUNK_ENTRIES = 1 << 18
 
 
-def _dist_block(points: np.ndarray, neg2_table_t: np.ndarray, table_sq: np.ndarray) -> np.ndarray:
-    """Unclamped ||p||^2 - 2 p.t + ||t||^2 for a block of rows, built in place.
-
-    ``neg2_table_t`` is ``(-2 * table).T``. Scaling by -2 is exact, so the
-    product rounds exactly as ``||p||^2 - (2p) @ table.T`` does.
+def _dist_block(points: np.ndarray, neg2_table: np.ndarray, table_sq: np.ndarray) -> np.ndarray:
+    """Unclamped ||p||^2 - 2 p.t + ||t||^2 for a block of rows, shape (rows,
+    k), built in place as the transpose of a (k, rows) product with
+    ``neg2_table = -2 * table`` (an exact scaling). The points are the
+    product's columns: as its rows, multithreaded OpenBLAS touched more of
+    its packing buffers for every new row count (6.4 MB over 300 random
+    counts, 1.0 MB for one fixed count, 0.1 MB as columns).
     """
-    d = points @ neg2_table_t
-    d += np.sum(points**2, axis=1)[:, None]
-    d += table_sq
-    return d
+    d = neg2_table @ points.T
+    d += np.sum(points**2, axis=1)
+    d += table_sq[:, None]
+    return d.T
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -55,8 +57,20 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     Only for callers that need every column; ``nearest`` bounds memory.
     """
-    d = _dist_block(points, (-2.0 * centroids).T, np.sum(centroids**2, axis=1))
+    d = _dist_block(points, -2.0 * centroids, np.sum(centroids**2, axis=1))
     return np.maximum(d, 0.0, out=d)
+
+
+def _best_two(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: the argmin, its value and the smallest value in any other
+    column (inf when there is one column); ``block`` is left as it was."""
+    at = np.arange(block.shape[0])
+    j = block.argmin(axis=1)
+    best = block[at, j]
+    block[at, j] = np.inf
+    second = block.min(axis=1)
+    block[at, j] = best
+    return j, best, second
 
 
 def _chunk_edges(n: int, width: int) -> list[int]:
@@ -85,7 +99,7 @@ def _rounding(reach: np.ndarray | float, terms: float, d: int, dtype: type):
 
 
 def _folded(points: np.ndarray, table: np.ndarray, rotation: np.ndarray | None):
-    """The columns ``-2 w_j`` of a (d, k) array (``w_j = R t_j`` for ``R =
+    """The rows ``-2 w_j`` of a (k, d) array (``w_j = R t_j`` for ``R =
     rotation``, else ``t_j``), the ``||t_j||^2``, each point's reach ``||p||
     + max(||t_j||, ||w_j||)`` and the terms of its ``_rounding``.
 
@@ -100,7 +114,7 @@ def _folded(points: np.ndarray, table: np.ndarray, rotation: np.ndarray | None):
         cols = table @ rotation.T
         widest = max(widest, np.sum(cols**2, axis=1).max())
         terms += rotation.shape[1] * float(np.linalg.norm(rotation))
-    return (-2.0 * cols).T, table_sq, _row_norms(points) + np.sqrt(widest), terms
+    return -2.0 * cols, table_sq, _row_norms(points) + np.sqrt(widest), terms
 
 
 def _exact_labels(points: np.ndarray, table: np.ndarray, near: np.ndarray,
@@ -137,32 +151,37 @@ def nearest(points: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarr
     else ``_exact_labels`` settles it over the columns with ``d_j <= d_c +
     2E``, which hold every exact minimizer m: ``d_m <= D_m + E <= D_c + E``.
     """
-    return _nearest(points, table, None)
+    return _nearest(points, table, None)[:2]
 
 
-def _nearest(points: np.ndarray, table: np.ndarray,
-             rotation: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """``nearest``; with ``rotation``, the labels of ``points @ rotation`` (``_folded``)."""
+def _nearest(points: np.ndarray, table: np.ndarray, rotation: np.ndarray | None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``nearest``, each row's runner-up: its smallest unclamped float64
+    distance to a column other than its label (inf when k == 1), and the
+    number of rows ``_exact_labels`` settled. With ``rotation``, the labels
+    of ``points @ rotation`` (``_folded``)."""
     n, d = points.shape
-    neg2_cols_t, table_sq, reach, terms = _folded(points, table, rotation)
+    neg2_cols, table_sq, reach, terms = _folded(points, table, rotation)
     margin = 2.0 * _rounding(reach, terms, d, np.float64)
     idx = np.empty(n, dtype=np.int64)
-    dist = np.empty(n)
+    dist, second = np.empty(n), np.empty(n)
+    settled = 0
     edges = _chunk_edges(n, table.shape[0])
     for lo, hi in zip(edges, edges[1:]):
-        block = _dist_block(points[lo:hi], neg2_cols_t, table_sq)
-        at = np.arange(hi - lo)
-        j = block.argmin(axis=1)
-        best = block[at, j]
-        block[at, j] = np.inf
-        open_ = np.flatnonzero(~(block.min(axis=1) - best > margin[lo:hi]))   # none when k == 1
-        block[at, j] = best
+        block = _dist_block(points[lo:hi], neg2_cols, table_sq)
+        j, best, runner_up = _best_two(block)
+        open_ = np.flatnonzero(~(runner_up - best > margin[lo:hi]))   # none when k == 1
         if open_.size:
             near = block[open_] <= (best[open_] + margin[lo + open_])[:, None]
-            j[open_] = _exact_labels(points[lo + open_], table, near, rotation)
+            exact = _exact_labels(points[lo + open_], table, near, rotation)
+            # a row moved off its float64 argmin has that column as runner-up
+            runner_up[open_] = np.where(exact == j[open_], runner_up[open_], best[open_])
+            j[open_] = exact
+            settled += open_.size
         idx[lo:hi] = j
-        dist[lo:hi] = np.maximum(block[at, j], 0.0)
-    return idx, dist
+        dist[lo:hi] = np.maximum(block[np.arange(hi - lo), j], 0.0)
+        second[lo:hi] = runner_up
+    return idx, dist, second, settled
 
 
 # The screen runs only while max ||p|| + max ||t|| stays below this: its
@@ -192,11 +211,11 @@ def nearest_labels(points: np.ndarray, table: np.ndarray,
     more than ``_CHUNK_ENTRIES`` scores exist at once.
     """
     n, d = points.shape
-    neg2_cols_t, table_sq, reach, terms = _folded(points, table, rotation)
+    neg2_cols, table_sq, reach, terms = _folded(points, table, rotation)
     if n == 0 or not reach.max() < _SCREEN_MAX_REACH:   # NaN goes to _nearest too
         return _nearest(points, table, rotation)[0]
     margin = 2.0 * _rounding(reach, terms, d, np.float32)
-    columns = np.vstack([neg2_cols_t, table_sq]).astype(np.float32, order="C")
+    columns = np.vstack([neg2_cols.T, table_sq]).astype(np.float32, order="C")
     edges = _chunk_edges(n, table.shape[0])
     rows = np.empty((max(np.diff(edges)), d + 1), dtype=np.float32)
     rows[:, d] = 1.0
@@ -205,34 +224,13 @@ def nearest_labels(points: np.ndarray, table: np.ndarray,
     for lo, hi in zip(edges, edges[1:]):
         block = rows[:hi - lo]
         block[:, :d] = points[lo:hi]
-        e = block @ columns
-        at = np.arange(hi - lo)
-        j = e.argmin(axis=1)
-        best = e[at, j]
-        e[at, j] = np.inf
-        gap = np.subtract(e.min(axis=1), best, dtype=np.float64)    # inf when k == 1
-        labels[lo:hi] = j
+        labels[lo:hi], best, runner_up = _best_two(block @ columns)
+        gap = np.subtract(runner_up, best, dtype=np.float64)    # inf when k == 1
         doubt.append(lo + np.flatnonzero(~(gap > margin[lo:hi])))
     doubt = np.concatenate(doubt)
     if doubt.size:
         labels[doubt] = _nearest(points[doubt], table, rotation)[0]
     return labels
-
-
-def _dist_columns(points: np.ndarray, neg2_table: np.ndarray, table_sq: np.ndarray) -> np.ndarray:
-    """The distances of ``_dist_block`` transposed: shape (k, rows), one
-    column per point.
-
-    Another product, so it may round differently from ``nearest``; only for
-    decisions that allow for the rounding. A varying number of points goes
-    in as the columns: as the rows of the product, multithreaded OpenBLAS
-    touched more of its packing buffers for every new row count (6.4 MB
-    over 300 random counts, 1.0 MB for one fixed count, 0.1 MB as columns).
-    """
-    d = neg2_table @ points.T
-    d += np.sum(points**2, axis=1)
-    d += table_sq[:, None]
-    return d
 
 
 class BoundedNearest:
@@ -243,25 +241,24 @@ class BoundedNearest:
     O(n) floats: an upper bound ``u`` on the distance to its centroid and a
     lower bound ``l`` on the distance to every other one. A call moves them
     by each centroid's shift, skips a point when ``l - u > sqrt(2E)``,
-    otherwise tightens ``u`` to the distance to its own centroid, and
-    computes all k distances only for the points still in doubt.
+    otherwise tightens ``u`` to the distance to its own centroid, and sends
+    the points still in doubt to ``_nearest``.
 
-    ``E = _rounding(max ||p|| + max ||t||, 4 (d + 3), d, float64)`` bounds
-    the kernel's rounding. A skipped point's exact squared distances differ
-    by ``l^2 - u^2 >= (l - u)^2 > 2E``, so its centroid stays the unique
-    argmin. A computed row is taken, as in ``nearest``, if its second-
-    smallest distance exceeds the smallest by more than 2E; the near-ties
-    take their labels from one ``nearest`` call. The rounding of the bounds
-    themselves is orders of magnitude below the margin.
+    Each float64 distance ``d_j`` is within ``E = _rounding(max ||p|| + max
+    ||t||, 4 (d + 3), d, float64)`` of the exact ``D_j``. From ``_nearest``'s
+    label c, ``d_c`` and runner-up ``min_{j != c} d_j``, ``u = sqrt(d_c +
+    E)`` and ``l = sqrt(max(runner-up - E, 0))`` bound the exact distances,
+    whichever column its exact settle chose. A skipped point's exact squared
+    distances differ by ``l^2 - u^2 >= (l - u)^2 > 2E``, so its centroid
+    stays the unique argmin; the bounds' own rounding is far below that.
 
     The bounds hold while the same ``points`` object comes back; another one
     (or ``restart``) starts over with every point. ``full_rows`` counts the
-    points whose k distances were computed, ``tie_rows`` the near-ties.
+    points sent to ``_nearest``, ``tie_rows`` those its exact settle labelled.
     """
 
     def __init__(self) -> None:
-        self.full_rows = 0
-        self.tie_rows = 0
+        self.full_rows = self.tie_rows = 0
         self.restart()
 
     def restart(self) -> None:
@@ -270,22 +267,20 @@ class BoundedNearest:
 
     def __call__(self, points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         n, d = points.shape
-        table_sq = np.sum(centroids**2, axis=1)
         fresh = self._points is not points or self._centroids.shape != centroids.shape
         if fresh:
             self._points = points
             self._point_norm = float(_row_norms(points).max(initial=0.0))
             self._labels = np.zeros(n, dtype=np.int64)
-            self._upper = np.empty(n)
-            self._lower = np.empty(n)
+            self._upper, self._lower = np.empty(n), np.empty(n)
             self._centroids = centroids.copy()
         else:  # a new label array each call: the caller keeps the last one
             self._labels = self._labels.copy()
-        err = _rounding(self._point_norm + float(np.sqrt(table_sq.max(initial=0.0))),
+        err = _rounding(self._point_norm + float(_row_norms(centroids).max(initial=0.0)),
                         4.0 * (d + 3), d, np.float64)
         doubt = (np.arange(n) if fresh
                  else self._doubtful(points, centroids, float(np.sqrt(2.0 * err))))
-        self._settle(points, centroids, doubt, table_sq, err)
+        self._settle(points, centroids, doubt, err)
         np.copyto(self._centroids, centroids)
         return self._labels
 
@@ -308,32 +303,16 @@ class BoundedNearest:
         return doubt[~(lower[doubt] - upper[doubt] > margin)]
 
     def _settle(self, points: np.ndarray, centroids: np.ndarray, doubt: np.ndarray,
-                table_sq: np.ndarray, err: float) -> None:
-        """Labels and fresh bounds for the points in ``doubt`` from all their
-        distances; near-ties take their label from ``nearest``."""
-        labels, upper, lower = self._labels, self._upper, self._lower
-        k = centroids.shape[0]
-        neg2_table = -2.0 * centroids
-        ties = []
-        edges = _chunk_edges(doubt.size, k)
+                err: float) -> None:
+        """Labels and fresh bounds for the points in ``doubt``, from ``_nearest``."""
+        edges = _chunk_edges(doubt.size, centroids.shape[0])
         for lo, hi in zip(edges, edges[1:]):
             ids = doubt[lo:hi]
-            cols = _dist_columns(points[ids], neg2_table, table_sq)
-            rows = np.arange(hi - lo)
-            j = cols.argmin(axis=0)
-            best = cols[j, rows]
-            cols[j, rows] = np.inf
-            second = cols.min(axis=0)                 # inf when k == 1
-            labels[ids] = j
-            upper[ids] = np.sqrt(np.maximum(best + err, 0.0))
-            lower[ids] = np.sqrt(np.maximum(second - err, 0.0))
-            ties.append(ids[~(second - best > 2.0 * err)])
+            self._labels[ids], dist, second, settled = _nearest(points[ids], centroids, None)
+            self._upper[ids] = np.sqrt(dist + err)
+            self._lower[ids] = np.sqrt(np.maximum(second - err, 0.0))
+            self.tie_rows += settled
         self.full_rows += doubt.size
-        tie = np.concatenate(ties) if ties else doubt
-        self.tie_rows += tie.size
-        if tie.size:
-            lower[tie] = 0.0                          # a near-tie stays in doubt
-            labels[tie] = nearest(points[tie], centroids)[0]
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -464,13 +443,8 @@ def _balanced_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     if k == 1:
         return np.zeros(n, dtype=np.int64)
     dists = _sq_dists(points, centroids)
-    rows = np.arange(n)
-    nearest_c = dists.argmin(axis=1)
-    best = dists[rows, nearest_c]
-    dists[rows, nearest_c] = np.inf
-    margin = dists.min(axis=1) - best
-    dists[rows, nearest_c] = best
-    order = np.argsort(-margin, kind="stable")
+    nearest_c, best, runner_up = _best_two(dists)
+    order = np.argsort(best - runner_up, kind="stable")
 
     floor, extra = divmod(n, k)  # extra: ceil-sized clusters still allowed
     cap = floor + (extra > 0)  # a cluster below cap has room

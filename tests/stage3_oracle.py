@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sidforge._records import id_list, read_records
+from sidforge._records import id_list, id_text, read_records
 from sidforge.curriculum import Session, StageStats
 from sidforge.identity import MAX_SEQUENCE_LENGTH, check_user_parts, query_words, user_parts
 from sidforge.sids import Sid, SidScheme
@@ -88,7 +88,8 @@ def read_sessions(path, item_sids, query_sids) -> list[Session]:
     """Stage-3 sessions; one whose queries or items have no SID is left out."""
 
     def session(obj):
-        session_id, query_id, clicked = obj["session_id"], obj["query_id"], obj["clicked_item"]
+        session_id, query_id, clicked = map(
+            id_text, (obj["session_id"], obj["query_id"], obj["clicked_item"]))
         short_ids = id_list(obj.get("short_clicks", []))
         long_ids = id_list(obj.get("long_clicks", []))
         recent_ids = id_list(obj.get("recent_queries", []))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -214,6 +215,22 @@ class TestUsageErrorsExit:
             main(["dpo-eval", "--lists", str(lists), "--logprobs", str(logps),
                   "--out", str(tmp_path / "dpo.tsv")])
         assert not (tmp_path / "dpo.tsv").exists()
+
+
+def test_main_builds_one_parser_per_process(monkeypatch, workspace, capsys):
+    # a parser per call is cyclic garbage the collector traces after each command
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["metrics", "--sids", str(workspace / "items.sids"), "--levels", LEVELS, "--opq", OPQ]
+    assert main(argv) == main(argv) == 0
+    assert capsys.readouterr().out
+    assert built.count("sidforge") <= 1
 
 
 class TestEncodeUser:

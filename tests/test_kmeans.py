@@ -163,6 +163,22 @@ class TestNearest:
         assert idx[-1] == first[tuple(points[-1])]
         assert np.all(dist < 1e-12)
 
+    def test_runner_up_excludes_the_returned_label(self, monkeypatch):
+        # duplicated rows one ulp apart: the exact settle moves most rows off
+        # their float64 argmin, and the runner-up is then that argmin's distance
+        rng = np.random.default_rng(5)
+        table = tied_table(rng, 40, 8, 10)[1]
+        table = np.where(rng.random(table.shape) < 0.3, np.nextafter(table, np.inf), table)
+        points = table[rng.integers(40, size=300)]
+        calls = count_settled(monkeypatch)
+        idx, dist, second, settled = kmeans._nearest(points, table, None)
+        assert settled == sum(calls) > 0
+        raw = kmeans._dist_block(points, -2.0 * table, np.sum(table**2, axis=1))
+        assert np.count_nonzero(idx != raw.argmin(axis=1)) > 100
+        others = np.where(np.arange(40) == idx[:, None], np.inf, raw)
+        assert np.array_equal(second, others.min(axis=1))
+        assert np.array_equal(dist, np.maximum(raw[np.arange(300), idx], 0.0))
+
     def test_empty_input(self):
         idx, dist = nearest(np.zeros((0, 3)), np.ones((4, 3)))
         assert idx.shape == (0,) and dist.shape == (0,)
@@ -594,6 +610,43 @@ class TestBoundedNearest:
         step, _ = assert_same_lloyd(points, start)
         assert step.tie_rows > 0
         assert_same_fit(points, k + 2, seed=seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        k=st.integers(min_value=1, max_value=8),
+        distinct=st.integers(min_value=1, max_value=4),
+        kind=st.sampled_from(["grid", "duplicate"]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_bounds_hold_after_every_call(self, n, k, distinct, kind, seed):
+        # after each Lloyd step, upper^2 is at least a point's exact squared
+        # distance to its own centroid and lower^2 at most the one to every
+        # other centroid, in Fractions, up to the bounds' own rounding (a
+        # tightened upper bound is a rounded sqrt): 2^-40 of their squares.
+        # Points 1e-8 off duplicated rows make the float64 distances round
+        # by more than the distances themselves
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            points = rng.integers(-2, 3, size=(n, 2)).astype(float)
+            table = rng.integers(-2, 3, size=(distinct, 2)).astype(float)
+        else:
+            table = rng.normal(size=(distinct, 3))
+            points = table[rng.integers(distinct, size=n)] + rng.normal(scale=1e-8, size=(n, 3))
+        start = table[rng.integers(distinct, size=k)]
+        step, slack = BoundedNearest(), Fraction(1, 2**40)
+
+        def checked(p, c):
+            labels = step(p, c)
+            for i, (point, own) in enumerate(zip(p.tolist(), labels.tolist())):
+                exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(point, row))
+                         for row in c.tolist()]
+                assert Fraction(step._upper[i]) ** 2 * (1 + slack) >= exact.pop(own)
+                if exact:  # the other centroids
+                    assert Fraction(step._lower[i]) ** 2 * (1 - slack) <= min(exact)
+            return labels
+
+        list(lloyd(points, start, 25, checked))
 
 
 def _balanced_cases():

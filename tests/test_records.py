@@ -378,6 +378,15 @@ class TestMalformedLines:
                              str(path), f"{path}:1")
         assert f"missing key '{key}'" in message
 
+    @pytest.mark.parametrize("key", ["session_id", "query_id", "clicked_item"])
+    def test_session_id_that_is_not_a_string(self, tmp_path, key):
+        # a number finds no SID, so the session would be dropped uncounted
+        obj = {"session_id": "s", "query_id": "q1", "query_text": "q1", "clicked_item": "i1"}
+        obj[key] = 7
+        path = tmp_path / "sessions.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        assert "expected an id string, got 7" in _raises_at(_read_sessions, str(path), f"{path}:1")
+
     def test_case_missing_context(self, tmp_path):
         path = tmp_path / "cases.jsonl"
         path.write_text('{"truth":["i1"]}\n')

@@ -170,7 +170,8 @@ class TestStage3Blocks:
     @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("case", ["late_bad_line", "short_codebook",
                                       "short_codebook_late_bad_line", "window_0",
-                                      "window_0_nothing_kept", "late_missing_key"])
+                                      "window_0_nothing_kept", "late_missing_key",
+                                      "late_number_id"])
     def test_errors_equal_the_in_memory_reference(self, tmp_path, capsys, monkeypatch,
                                                   block, case):
         """A malformed line in a later block keeps its own `path:line`; the
@@ -183,6 +184,8 @@ class TestStage3Blocks:
                                          "clicked_item": "i1", "query_text": "red [SEP]"}))
         if case == "late_missing_key":
             lines.insert(25, json.dumps({"session_id": "x", "clicked_item": "i1"}))
+        if case == "late_number_id":
+            lines.insert(27, json.dumps({"session_id": "x", "query_id": "q1", "clicked_item": 7}))
         if case == "window_0_nothing_kept":
             lines = [json.dumps({"session_id": "x", "query_id": "q1", "clicked_item": "nope"})]
         paths["sessions"].write_text("\n".join(lines) + "\n")
@@ -198,7 +201,8 @@ class TestStage3Blocks:
                     "short_codebook_late_bad_line": f"{paths['sessions']}:31: ",
                     "window_0": "max_window must be >= 1, got 0",
                     "window_0_nothing_kept": "records=0 skipped=0",
-                    "late_missing_key": f"{paths['sessions']}:26: missing key 'query_id'"}[case]
+                    "late_missing_key": f"{paths['sessions']}:26: missing key 'query_id'",
+                    "late_number_id": f"{paths['sessions']}:28: expected an id string"}[case]
         assert want[1].startswith(expected), want
 
     @pytest.mark.parametrize("block", BLOCKS)
