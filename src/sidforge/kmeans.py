@@ -47,9 +47,18 @@ def _dist_block(points: np.ndarray, neg2_table: np.ndarray, table_sq: np.ndarray
     counts, 1.0 MB for one fixed count, 0.1 MB as columns).
     """
     d = neg2_table @ points.T
-    d += np.sum(points**2, axis=1)
+    d += _sq_row_sums(points)
     d += table_sq[:, None]
     return d.T
+
+
+def _sq_row_sums(points: np.ndarray) -> np.ndarray:
+    """``np.sum(points**2, axis=1)``, squared in ``_chunk_edges`` row blocks."""
+    sums = np.empty(points.shape[0])
+    edges = _chunk_edges(*points.shape)
+    for lo, hi in zip(edges, edges[1:]):
+        sums[lo:hi] = np.sum(points[lo:hi]**2, axis=1)
+    return sums
 
 
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -316,18 +325,16 @@ class BoundedNearest:
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ initialization; duplicates chosen if k exceeds spread."""
+    """Seeded k-means++ initialization; duplicates chosen if k exceeds spread.
+    Each centroid's squared distances are formed in one reused (n, d) buffer."""
     n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    buf = np.empty_like(points)
+    chosen, d2 = [int(rng.integers(n))], np.full(n, np.inf)
     for _ in range(1, k):
+        np.subtract(points, points[chosen[-1]], out=buf)
+        np.minimum(d2, np.sum(np.square(buf, out=buf), axis=1), out=d2)
         total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        chosen.append(idx)
-        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+        chosen.append(int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total)))
     return points[chosen].copy()
 
 
@@ -436,14 +443,17 @@ def _balanced_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     best distance), each taking its nearest centroid that still has room,
     ties to the lowest index. At most ``n mod k`` clusters may grow to
     ceil(n/k); the rest stop at floor(n/k), which pins max-min cluster size
-    to <= 1. Only the distance matrix is (n, k); a point whose nearest
-    centroid is full takes one masked argmin over the clusters with room.
+    to <= 1. Only the distance matrix is (n, k): it is scanned in
+    ``_chunk_edges`` row blocks, and a point whose nearest centroid is full
+    takes one masked argmin over the clusters with room.
     """
     n, k = points.shape[0], centroids.shape[0]
     if k == 1:
         return np.zeros(n, dtype=np.int64)
     dists = _sq_dists(points, centroids)
-    nearest_c, best, runner_up = _best_two(dists)
+    edges = _chunk_edges(n, k)
+    nearest_c, best, runner_up = map(np.concatenate, zip(
+        *(_best_two(dists[lo:hi]) for lo, hi in zip(edges, edges[1:]))))
     order = np.argsort(best - runner_up, kind="stable")
 
     floor, extra = divmod(n, k)  # extra: ceil-sized clusters still allowed

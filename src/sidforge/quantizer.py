@@ -20,7 +20,8 @@ import numpy as np
 
 from ._records import read_json, replacing
 from .embedding import Catalog, float32_rows, float_rows
-from .kmeans import BoundedNearest, balanced_kmeans_fit, kmeans_fit, lloyd, nearest_labels
+from .kmeans import (BoundedNearest, _sq_row_sums, balanced_kmeans_fit, kmeans_fit, lloyd,
+                     nearest_labels)
 from .sids import Sid, SidScheme
 
 _MAGIC = b"SIDF"
@@ -133,8 +134,8 @@ def _rq_fit_full(
         result = fit(residual, k, iters=iters, seed=seed + l)
         levels.append(result.centroids)
         codes.append(result.assignments)
-        residual = residual - result.centroids[result.assignments]
-        mean_sq_residual.append(float(np.mean(np.sum(residual**2, axis=1))))
+        residual -= result.centroids[result.assignments]
+        mean_sq_residual.append(float(np.mean(_sq_row_sums(residual))))
 
     stats = {
         "levels": list(level_sizes),
@@ -185,6 +186,14 @@ def _warm_lloyd(points: np.ndarray, table: np.ndarray, iters: int) -> tuple[np.n
     return table, step(points, table)
 
 
+def _mean_sq_error(X: np.ndarray, rotation: np.ndarray, Y: np.ndarray) -> float:
+    """``np.mean(np.sum((X @ rotation - Y) ** 2, axis=1))`` in one (n, d) array."""
+    err = X @ rotation
+    err -= Y
+    np.square(err, out=err)
+    return float(np.mean(np.sum(err, axis=1)))
+
+
 def opq_fit(
     residuals: np.ndarray,
     subspaces: int = 2,
@@ -210,10 +219,12 @@ def opq_fit(
     tables: list[np.ndarray] = []
     errors: list[float] = []
     for r in range(outer_iters + 1):
-        rotated = X @ rotation
         codes = []
         for s in range(subspaces):
-            b = rotated[:, s * dsub:(s + 1) * dsub]
+            # the full product, then a contiguous copy of its columns: no
+            # rotated (n, d) array lives through the fits, and the GEMM is
+            # the same call whatever the subspace
+            b = np.ascontiguousarray((X @ rotation)[:, s * dsub:(s + 1) * dsub])
             if r == 0:
                 tables.append(kmeans_fit(b, codes_per_subspace, iters=kmeans_iters,
                                          seed=seed + s).centroids)
@@ -221,12 +232,14 @@ def opq_fit(
             else:
                 tables[s], labels = _warm_lloyd(b, tables[s], kmeans_iters)
                 codes.append(labels)
+            del b
         Y = np.concatenate([t[c] for t, c in zip(tables, codes)], axis=1)
-        errors.append(float(np.mean(np.sum((rotated - Y) ** 2, axis=1))))
+        errors.append(_mean_sq_error(X, rotation, Y))
         if r == outer_iters:
             break  # the last pass fits the codes only
         # orthogonal Procrustes: rotation minimizing ||X R - Y||_F
         M = X.T @ Y
+        del Y
         if float(np.abs(M).max()) > 0.0:
             U, _, Vt = np.linalg.svd(M)
             rotation = U @ Vt

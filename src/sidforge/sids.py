@@ -8,6 +8,7 @@ everywhere as comma-joined digits, e.g. ``17,3,250,12,98``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -70,6 +71,10 @@ class SidScheme:
                 f"{len(self.rq_sizes)}+{len(self.opq_sizes)}"
             )
         for pos, (code, size) in enumerate(zip(sid.digits, self.sizes)):
+            # numpy integers are Integral; a bool is an int but no digit
+            if type(code) is not int and (isinstance(code, bool)
+                                          or not isinstance(code, numbers.Integral)):
+                raise ValueError(f"code {code!r} at position {pos} is not an integer")
             if not 0 <= code < size:
                 raise ValueError(f"code {code} at position {pos} outside [0, {size})")
         return sid

@@ -406,6 +406,38 @@ class TestUpdateMeans:
         assert np.array_equal(out[13], old[13])
 
 
+def fresh_array_seed(points, k, rng):
+    """Reference k-means++: a fresh difference array per chosen centroid."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        idx = int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total))
+        chosen.append(idx)
+        d2 = np.minimum(d2, np.sum((points - points[idx]) ** 2, axis=1))
+    return points[chosen].copy()
+
+
+class TestKmeansppSeed:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        d=st.integers(min_value=1, max_value=40),
+        k=st.integers(min_value=1, max_value=40),
+        distinct=st.integers(min_value=1, max_value=50),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_equals_fresh_array_seeding_bit_for_bit(self, n, d, k, distinct, scale, seed):
+        # duplicate points, and often k above the number of distinct points
+        rng = np.random.default_rng(seed)
+        points = rng.normal(scale=scale, size=(distinct, d))[rng.integers(distinct, size=n)]
+        got = kmeanspp_seed(points, k, np.random.default_rng(seed))
+        expected = fresh_array_seed(points, k, np.random.default_rng(seed))
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestLloyd:
     def test_warm_start_keeps_empty_centroid_and_cold_repairs_it(self):
         points = np.array([[0.0], [0.1], [10.0], [10.1]])
@@ -663,6 +695,9 @@ def _balanced_cases():
     clustered = centers[rng.integers(5, size=400)] + rng.normal(scale=0.3, size=(400, 4))
     yield "clustered", clustered, clustered[rng.choice(400, size=12, replace=False)]
     yield "clustered-k2", clustered, centers[:2]
+    # n * k > _CHUNK_ENTRIES, so the scan spans several row blocks
+    grid = rng.integers(-3, 4, size=(40, 2)).astype(float)
+    yield "tied-grid-blocks", grid[rng.integers(40, size=3000)], grid[rng.integers(40, size=128)]
 
 
 class TestBalancedAssign:
@@ -687,6 +722,19 @@ class TestBalancedAssign:
         centroids = grid[rng.integers(distinct, size=k)]
         expected = preference_walk_assign(points, centroids)
         assert _balanced_assign(points, centroids).tolist() == expected.tolist()
+
+    def test_peak_memory_below_one_point_one_matrices(self):
+        rng = np.random.default_rng(34)
+        points, centroids = rng.normal(size=(20_000, 32)), rng.normal(size=(512, 32))
+        tracemalloc.start()
+        try:
+            _balanced_assign(points, centroids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 20000 x 512 matrix is 78.1 MiB; an argmin over the whole of it
+        # copied it, for a peak of 2.0 matrices
+        assert peak < 1.1 * 20_000 * 512 * 8
 
 
 # sha256 of the small balanced fit below, recorded from the preference-walk

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import descend_oracle
-from sidforge import kmeans
+from sidforge import kmeans, quantizer
 from sidforge.quantizer import (
     OpqCodebook,
     RqCodebook,
@@ -86,6 +86,18 @@ class TestRqFit:
             assert norms[1] <= norms[0] + 1e-9
             assert norms[2] <= norms[1] + 1e-9
 
+    def test_residuals_and_energies_equal_one_expression(self):
+        # 9000 x 32 rows: the row sums of squares span several blocks
+        rng = np.random.default_rng(12)
+        vecs = rng.normal(size=(9000, 32))
+        rq, stats, codes, residual = quantizer._rq_fit_full(vecs, (6, 4), True, 8, 3)
+        expected = vecs
+        for l, table in enumerate(rq.levels):
+            expected = expected - table[codes[:, l]]
+            assert stats["mean_sq_residual_per_level"][l] == float(
+                np.mean(np.sum(expected**2, axis=1)))
+        assert residual.tobytes() == expected.tobytes()
+
     def test_oversized_level_records_warning(self):
         vecs = np.array([[0.0], [1.0], [2.0]])
         _, stats = rq_fit(vecs, (5,), balanced_last=False, seed=0)
@@ -131,6 +143,30 @@ class TestOpqFit:
     def test_indivisible_dim_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             opq_fit(np.zeros((5, 5)), 2, 2)
+
+    @pytest.mark.parametrize("outer_iters", [0, 1, 3])
+    def test_error_equals_one_expression_for_the_returned_codes(self, outer_iters):
+        rng = np.random.default_rng(10)
+        centers = rng.normal(scale=3.0, size=(20, 6))
+        X = centers[rng.integers(20, size=900)] + rng.normal(size=(900, 6))
+        opq, stats = opq_fit(X, 3, 8, outer_iters=outer_iters, seed=1, kmeans_iters=10)
+        rotated = X @ opq.rotation
+        Y = np.concatenate([t[kmeans.nearest(rotated[:, 2 * s:2 * s + 2], t)[0]]
+                            for s, t in enumerate(opq.subspaces)], axis=1)
+        assert stats["mean_sq_error_per_outer_iter"][-1] == float(
+            np.mean(np.sum((X @ opq.rotation - Y) ** 2, axis=1)))
+
+    def test_peak_memory_holds_no_rotated_copy(self):
+        residuals = np.random.default_rng(11).normal(size=(20_000, 32))
+        tracemalloc.start()
+        try:
+            opq_fit(residuals, 2, 64, outer_iters=2, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 19.9 MiB with a rotated (n, d) array alive through every round's
+        # fits and a fresh (n, d) array per error term
+        assert peak < 14 * 2**20
 
 
 @pytest.fixture(scope="module")

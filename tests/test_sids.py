@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sidforge import sids
@@ -94,3 +95,20 @@ class TestSidFileIO:
     def test_catalog_validates_on_build(self):
         with pytest.raises(ValueError):
             SidCatalog({"a": Sid((9,), ())}, SidScheme((4,)))
+
+    def test_float_digit_rejected(self):
+        # written as "a\t1.5,2,1", a file read_sid_file would refuse
+        with pytest.raises(ValueError, match="code 1.5 at position 0 is not an integer"):
+            SidCatalog({"a": Sid((1.5, 2), (1,))}, SidScheme((4, 4), (2,)))
+
+    def test_bool_digit_rejected(self):
+        # written as "a\tTrue,2,1"
+        with pytest.raises(ValueError, match="code True at position 0 is not an integer"):
+            SidCatalog({"a": Sid((True, 2), (1,))}, SidScheme((4, 4), (2,)))
+
+    def test_numpy_integer_digits_accepted(self, tmp_path):
+        scheme = SidScheme((4, 4), (2,))
+        sid = Sid((np.int64(1), np.int32(2)), (np.uint8(1),))
+        path = tmp_path / "t.sids"
+        write_sid_file(path, SidCatalog({"a": sid}, scheme))
+        assert read_sid_file(path, scheme).entries == {"a": Sid((1, 2), (1,))}
