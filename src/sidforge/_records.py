@@ -125,11 +125,12 @@ def write_records(path: str | Path | None, rows: Iterable, *, jsonl: bool = Fals
     :class:`LocatedError` and ``KeyboardInterrupt`` included, propagates
     unchanged."""
     record = 1
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     with contextlib.nullcontext(sys.stdout) if path is None else replacing(path) as f:
         try:
             for row in rows:
                 if jsonl:
-                    line = json.dumps(row, sort_keys=True, separators=(",", ":"))
+                    line = encode(row)
                 else:
                     line = "\t".join(row)
                     if line.count("\t") != len(row) - 1 or "\n" in line or "\r" in line:

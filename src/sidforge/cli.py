@@ -380,7 +380,7 @@ def cmd_evaluate(args) -> None:
 
 
 def cmd_synth(args) -> None:
-    bundle = ev.synth_catalog(read_json(args.spec, lambda obj: ev.SyntheticSpec(**obj)))
+    bundle, sessions = ev.synth_stream(read_json(args.spec, lambda obj: ev.SyntheticSpec(**obj)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_catalog(bundle.items, out / "items.catalog")
@@ -398,7 +398,7 @@ def cmd_synth(args) -> None:
         "query_id": sess.query_id,
         "clicked_item": sess.clicked_item,
         "short_clicks": list(sess.short_clicks),
-    } for sess in bundle.sessions), jsonl=True)
+    } for sess in sessions), jsonl=True)
 
 
 @functools.cache

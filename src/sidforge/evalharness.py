@@ -124,6 +124,14 @@ def synth_catalog(spec: SyntheticSpec) -> SynthBundle:
     center as well. Sessions click within the query's cluster with a
     popularity skew toward low item indices.
     """
+    bundle, sessions = synth_stream(spec)
+    bundle.sessions = list(sessions)
+    return bundle
+
+
+def synth_stream(spec: SyntheticSpec) -> tuple[SynthBundle, Iterator[SynthSession]]:
+    """:func:`synth_catalog`'s bundle without its sessions, and an iterator
+    that draws those sessions one at a time, continuing the same stream."""
     rng = np.random.default_rng(spec.seed)
     centers = rng.normal(0.0, spec.center_scale, size=(spec.clusters, spec.dim))
     collapse_locs = (
@@ -168,23 +176,29 @@ def synth_catalog(spec: SyntheticSpec) -> SynthBundle:
     queries = Catalog(q_ids, centers + rng.normal(0.0, spec.noise_scale * 0.5,
                                                   size=(spec.clusters, spec.dim)))
 
-    sessions: list[SynthSession] = []
-    if spec.sessions:
-        # popularity ~ 1/(rank+1) within each cluster
-        pop = 1.0 / (np.arange(spec.items_per_cluster) + 1.0)
-        pop = pop / pop.sum()
-        for s in range(spec.sessions):
-            c = int(rng.integers(spec.clusters))
-            n_clicks = int(rng.integers(0, spec.max_session_clicks + 1))
-            picks = rng.choice(spec.items_per_cluster, size=n_clicks + 1, p=pop)
-            click_ids = tuple(f"item{c}_{int(p)}" for p in picks)
-            sessions.append(SynthSession(
-                session_id=f"sess{s}",
-                query_id=f"query{c}",
-                clicked_item=click_ids[-1],
-                short_clicks=click_ids[:-1],
-            ))
-    return SynthBundle(items, categories, keywords, queries, query_cluster, sessions)
+    return (SynthBundle(items, categories, keywords, queries, query_cluster),
+            _draw_sessions(spec, rng, ids))
+
+
+def _draw_sessions(spec: SyntheticSpec, rng: np.random.Generator,
+                   ids: list[str]) -> Iterator[SynthSession]:
+    # popularity ~ 1/(rank+1) within each cluster; a pick is the inverse-CDF
+    # lookup rng.choice(items_per_cluster, size, p=pop) makes once p passes
+    # its checks, so each session takes the same draws and the same picks
+    pop = 1.0 / (np.arange(spec.items_per_cluster) + 1.0)
+    cdf = (pop / pop.sum()).cumsum()
+    cdf /= cdf[-1]
+    for s in range(spec.sessions):
+        c = int(rng.integers(spec.clusters))
+        n_clicks = int(rng.integers(0, spec.max_session_clicks + 1))
+        picks = cdf.searchsorted(rng.random(n_clicks + 1), side="right")
+        click_ids = tuple(ids[c * spec.items_per_cluster + p] for p in picks.tolist())
+        yield SynthSession(
+            session_id=f"sess{s}",
+            query_id=f"query{c}",
+            clicked_item=click_ids[-1],
+            short_clicks=click_ids[:-1],
+        )
 
 
 @dataclass

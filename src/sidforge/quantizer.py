@@ -157,9 +157,11 @@ def descend(
     Each table in ``levels`` codes the running residual and is subtracted
     from it; then each OPQ subspace table codes the final residual under its
     columns of the rotation, folded into the table (no rotated batch).
-    Returns the (n, L + S) code array and the final hierarchy residual.
+    Returns the (n, L + S) code array and the final hierarchy residual, which
+    may be ``vectors`` itself when ``levels`` is empty.
     """
-    residual = np.array(vectors, dtype=np.float64)
+    # only a subtracted level needs a copy it may change in place
+    residual = (np.array if len(levels) else np.asarray)(vectors, dtype=np.float64)
     cols = []
     for table in levels:
         codes = nearest_labels(residual, table)

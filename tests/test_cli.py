@@ -1,9 +1,12 @@
 import argparse
+import gc
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +61,42 @@ class TestSynthAndCodebook:
     def test_encode_emits_parseable_sids(self, workspace):
         catalog = read_sid_file(workspace / "items.sids", SCHEME)
         assert len(catalog) == 32
+
+
+def _synth(tmp_path, sessions: int) -> Path:
+    """``sidforge synth`` of a 10 x 20 x 8 catalog, seed 1, into its own directory."""
+    out = tmp_path / f"s{sessions}"
+    out.mkdir()
+    (out / "spec.json").write_text(json.dumps(
+        {"clusters": 10, "items_per_cluster": 20, "dim": 8, "sessions": sessions, "seed": 1}))
+    assert main(["synth", "--spec", str(out / "spec.json"), "--out", str(out)]) == 0
+    return out
+
+
+def test_synth_sessions_golden(tmp_path):
+    """The bytes of ``sessions.jsonl`` are pinned, not only run-to-run equal."""
+    data = (_synth(tmp_path, 2000) / "sessions.jsonl").read_bytes()
+    assert data.count(b"\n") == 2000
+    assert hashlib.sha256(data).hexdigest() == (
+        "fe8da1178cc2d9b6eac0d59b8f20fc162c59a1e1839db2d859f57e9b3d48f5d1")
+
+
+def test_synth_streams_its_sessions(tmp_path):
+    """Ten times the sessions add well under 1.5 MiB to the ``tracemalloc``
+    peak, where holding them costs about 460 B each (8.3 MiB for the 18,000
+    extra sessions). The slack covers CPython's tuple free lists, which a long
+    run fills to a fixed cap of about 0.8 MiB and only a full collection
+    empties."""
+    peaks = {}
+    for sessions in (2000, 20_000):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _synth(tmp_path, sessions)
+            peaks[sessions] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20_000] - peaks[2000] < 1.5 * 2**20, peaks
 
 
 @pytest.mark.parametrize("spec, field", [

@@ -10,12 +10,15 @@ from sidforge.evalharness import (
     rank_items,
     run_eval,
     synth_catalog,
+    synth_stream,
 )
 from sidforge.generator import UniformScorer, beam_search, build_trie, cooccurrence_fit
 from sidforge.identity import UserSid, assemble_prompt
 from sidforge.quantizer import encode_batch, fit_codebook
 from sidforge.sidmetrics import cur, icr
 from sidforge.sids import SidCatalog, SidScheme
+
+import synth_oracle
 
 
 class OracleScorer:
@@ -171,6 +174,29 @@ class TestSynthCatalog:
             cluster = sess.query_id.removeprefix("query")
             for item in sess.short_clicks + (sess.clicked_item,):
                 assert item.startswith(f"item{cluster}_")
+
+    @pytest.mark.parametrize("seed", [0, 7, 29])
+    @pytest.mark.parametrize("spec", [
+        dict(clusters=5, items_per_cluster=9, dim=4, sessions=400),
+        dict(clusters=3, items_per_cluster=1, dim=2, sessions=200),
+        dict(clusters=4, items_per_cluster=6, dim=3, sessions=300, max_session_clicks=0),
+        dict(clusters=6, items_per_cluster=11, dim=4, sessions=300,
+             collapsed_frac=0.3, collapse_points=2),
+        dict(clusters=100, items_per_cluster=50, dim=4, sessions=20_000),
+    ], ids=["plain", "one-item", "no-clicks", "collapse", "20k"])
+    def test_sessions_equal_the_choice_oracle(self, spec, seed):
+        """Each session's picks are the ones ``rng.choice(..., p=pop)`` makes."""
+        spec = SyntheticSpec(**spec, seed=seed)
+        assert synth_catalog(spec).sessions == synth_oracle.sessions(spec)
+
+    def test_stream_draws_the_catalogs_sessions_after_its_bundle(self):
+        spec = SyntheticSpec(clusters=4, items_per_cluster=7, dim=3, sessions=60, seed=12)
+        whole = synth_catalog(spec)
+        bundle, sessions = synth_stream(spec)
+        assert bundle.sessions == []
+        assert np.array_equal(bundle.items.matrix, whole.items.matrix)
+        assert np.array_equal(bundle.queries.matrix, whole.queries.matrix)
+        assert list(sessions) == whole.sessions
 
 
 @pytest.fixture(scope="module")

@@ -184,6 +184,40 @@ def random_codebook():
                         opq_subspaces=2, opq_codes=3, seed=2)
 
 
+class TestDescendCopies:
+    def test_opq_only_descent_copies_nothing(self):
+        """With no levels nothing is subtracted in place, so the (n, d) input
+        is read where it is: the peak is the labelling's own, not that plus
+        a 4.9 MiB copy (16.29 MiB when it made one)."""
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(20_000, 32))
+        rotation, _ = np.linalg.qr(rng.normal(size=(32, 32)))
+        opq = OpqCodebook(rotation, [rng.normal(size=(64, 16)), rng.normal(size=(64, 16))])
+
+        def peak_of(run):
+            tracemalloc.start()
+            try:
+                out = run()
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        labels, labelling = peak_of(lambda: np.stack([
+            kmeans.nearest_labels(X, table, rotation[:, 16 * s:16 * s + 16])
+            for s, table in enumerate(opq.subspaces)], axis=1))
+        (codes, residual), peak = peak_of(lambda: descend((), opq, X))
+        assert np.array_equal(codes, labels)
+        assert np.array_equal(residual, X)
+        assert peak < labelling + X.nbytes / 2, (peak, labelling)
+
+    def test_levels_leave_the_callers_array_unchanged(self, random_codebook):
+        vecs = np.random.default_rng(14).normal(size=(40, 4))
+        before = vecs.copy()
+        _, residual = descend(random_codebook.rq.levels, random_codebook.opq, vecs)
+        assert np.array_equal(vecs, before)
+        assert not np.shares_memory(residual, vecs)
+
+
 class TestEncode:
     def test_matches_exhaustive_chain_oracle(self, codebook):
         vecs = hierarchical_catalog()

@@ -4,6 +4,7 @@ killed write leaves the previous file (or none), never a shorter one."""
 
 import ast
 import errno
+import json
 import os
 import re
 import subprocess
@@ -81,6 +82,16 @@ def test_finished_write_equals_a_fresh_one(tmp_path, name):
     WRITERS[name](tmp_path / "old")
     assert (tmp_path / "old").read_bytes() == (tmp_path / "fresh").read_bytes()
     assert not list(tmp_path.glob(".*.tmp"))
+
+
+def test_jsonl_rows_are_json_dumps_lines(tmp_path):
+    """One encoder serves the whole file, and it writes each row as
+    ``json.dumps(row, sort_keys=True, separators=(",", ":"))`` would."""
+    rows = [{"b": [1, 2.5, None], "a": "é\u2028\"x\""}, {"z": {"y": True, "x": float("nan")}},
+            {}, {"n": 10**20, "f": -0.0, "s": ["\t", "日本"]}]
+    write_records(tmp_path / "r.jsonl", rows, jsonl=True)
+    assert (tmp_path / "r.jsonl").read_text(encoding="utf-8") == "".join(
+        json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n" for row in rows)
 
 
 def test_refused_record_keeps_the_existing_file(tmp_path):
