@@ -46,6 +46,13 @@ def id_list(value: Any) -> list[str]:
     return value
 
 
+def number_list(value: Any) -> list[float]:
+    """``value`` checked to be a JSON list of numbers, not bools, as floats."""
+    if not isinstance(value, list) or any(type(v) not in (int, float) for v in value):
+        raise ValueError(f"expected a JSON list of numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
 def read_records(path: str | Path, parse: Callable[..., Any], *, fields: int = 0,
                  jsonl: bool = False, header: Callable[[str], Any] | None = None) -> list:
     """``parse`` applied to each non-blank line of a UTF-8 file, in order: the
@@ -85,7 +92,7 @@ def iter_records(path: str | Path, parse: Callable[..., Any], *, fields: int = 0
                 yield record
         except UnicodeDecodeError as exc:  # decoded in blocks: the line is unknown
             raise _error(path, exc) from None
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise _error(f"{path}:{line_no}", exc) from None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import math
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -36,6 +37,7 @@ from .identity import (
     aggregate_long,
     build_user_sid,
     default_sequence,
+    prompt_fields,
     query_words,
 )
 from .quantizer import encode_batch, fit_codebook, load_codebook, save_codebook
@@ -191,10 +193,16 @@ def cmd_build_pairs(args) -> None:
                      f"skipped_bad_pair={stats.skipped_bad_pair}\n")
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"log probability must be finite, got {text!r}")
+    return value
+
+
 def cmd_dpo_eval(args) -> None:
     lists = rw.read_preference_lists(args.lists)
     logps = dict(read_records(args.logprobs, lambda context, candidate, policy, ref: (
-        (context, candidate), (float(policy), float(ref))), fields=4))
+        (context, candidate), (_finite(policy), _finite(ref))), fields=4))
     cfg = rw.DpoConfig(beta=args.beta, alpha=args.alpha, delta_margin=args.delta)
 
     def rows():
@@ -342,6 +350,10 @@ def cmd_generate(args) -> None:
     context_path = Path(args.context)
     if context_path.exists():
         context = [tok for line in read_records(context_path, str.split) for tok in line]
+        try:
+            prompt_fields(context, scheme)
+        except ValueError as exc:
+            raise ValueError(f"{context_path}: {exc}") from None
     else:
         context = scheme.parse(args.context)
     hits = beam_search(context, scorer, args.beam, trie=trie,

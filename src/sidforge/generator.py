@@ -115,11 +115,9 @@ class BeamHits(Sequence):
 
     def __iter__(self) -> Iterator[BeamHit]:
         columns = self.digits.T.tolist()  # one list per position
-        # hits share equal rq and equal opq tuples: fewer live objects to collect
-        shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-        rq = list(zip(*columns[:self._n_rq]))
-        opq = list(zip(*columns[self._n_rq:])) if self._n_rq < len(columns) else [()] * len(rq)
-        sids = map(Sid, map(shared.setdefault, rq, rq), map(shared.setdefault, opq, opq))
+        rq = zip(*columns[:self._n_rq])
+        opq = zip(*columns[self._n_rq:]) if self._n_rq < len(columns) else itertools.repeat(())
+        sids = map(Sid, rq, opq)
         flags = itertools.repeat(None) if self.in_catalog is None else self.in_catalog.tolist()
         return map(BeamHit, sids, self.scores.tolist(), flags)
 

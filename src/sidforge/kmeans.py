@@ -325,17 +325,14 @@ class BoundedNearest:
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ initialization; duplicates chosen if k exceeds spread.
-    Each centroid's squared distances are formed in one reused (n, d) buffer."""
+    """Seeded k-means++ initialization; duplicates chosen if k exceeds spread."""
     n = points.shape[0]
-    buf = np.empty_like(points)
     chosen, d2 = [int(rng.integers(n))], np.full(n, np.inf)
     for _ in range(1, k):
-        np.subtract(points, points[chosen[-1]], out=buf)
-        np.minimum(d2, np.sum(np.square(buf, out=buf), axis=1), out=d2)
+        np.minimum(d2, np.sum((points - points[chosen[-1]]) ** 2, axis=1), out=d2)
         total = float(d2.sum())
         chosen.append(int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total)))
-    return points[chosen].copy()
+    return points[chosen]
 
 
 def _update_means(points_t: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._records import id_list, read_records, write_records
+from ._records import id_list, id_text, number_list, read_records, write_records
 from .sids import Sid
 
 # Base reward weight per behavior level: purchase-in-search,
@@ -278,5 +278,6 @@ def write_preference_lists(lists: Iterable[PreferenceList], path: str | Path) ->
 
 def read_preference_lists(path: str | Path) -> list[PreferenceList]:
     return read_records(path, lambda obj: PreferenceList(
-        obj["context"], obj["winner"], id_list(obj["losers"]), [float(d) for d in obj["deltas"]],
+        id_text(obj["context"]), id_text(obj["winner"]), id_list(obj["losers"]),
+        number_list(obj["deltas"]),
     ), jsonl=True)

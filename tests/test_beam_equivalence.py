@@ -186,8 +186,6 @@ def test_hit_elements_hold_python_values():
             assert all(type(d) is int for d in hit.sid.digits)
             assert type(hit.sid) is Sid and len(hit.sid.rq) == 2 and len(hit.sid.opq) == 1
         assert {h.in_catalog for h in hits} == set(flag)
-    listed = list(_wide_hits())  # equal rq and equal opq tuples are one object each
-    assert len({id(h.sid.rq) for h in listed}) == 12 and len({id(h.sid.opq) for h in listed}) == 2
 
 
 def test_empty_trie_gives_empty_hits():

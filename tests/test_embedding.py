@@ -223,6 +223,12 @@ class TestCatalogIO:
         with pytest.raises(ValueError):
             load_catalog(path)
 
+    def test_membership_is_by_id(self):
+        # iterating yields Embedding objects, so `in` without __contains__ reads False
+        cat = Catalog(["a", "b"], np.zeros((2, 2)))
+        assert "a" in cat and "b" in cat
+        assert "c" not in cat and "" not in cat
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Catalog(["a", "a"], np.zeros((2, 2)))

@@ -402,6 +402,26 @@ class TestMalformedLines:
             "generate", "--trie-from", str(tmp_path / "items.sids"), "--levels", "4,4",
             "--opq", "1x3", "--scorer", str(scorer), "--context", p]), str(path), path)
 
+    @pytest.mark.parametrize("old, new, detail", [
+        (" [EOS]", "", "bracketed by [BOS] ... [EOS]"),
+        ("0,1,1 [SEP]", "0,1,1 0,1,1 [SEP]", "exactly one SID"),
+        ("i> 3,0,2", "i> 3,0,9", "code 9 at position 2 outside [0, 3)"),
+        (PROMPT, "", "bracketed by [BOS] ... [EOS]"),
+    ], ids=["unbracketed", "two_query_sids", "digit_out_of_range", "empty"])
+    def test_generate_malformed_prompt_file(self, tmp_path, old, new, detail):
+        text = PROMPT.replace(old, new).removeprefix("<T3> ")
+        (tmp_path / "items.sids").write_text("i1\t1,2,0\n")
+        scorer = tmp_path / "scorer.json"
+        scorer.write_text(json.dumps({"rq_sizes": [4, 4], "opq_sizes": [3], "counts": {}}))
+        path = tmp_path / "prompt.txt"
+        path.write_text(text + "\n")
+        out = tmp_path / "gen.tsv"
+        assert detail in _raises_at(lambda p: cli.main([
+            "generate", "--trie-from", str(tmp_path / "items.sids"), "--levels", "4,4",
+            "--opq", "1x3", "--scorer", str(scorer), "--context", p, "--out", str(out)]),
+            str(path), path)
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, line", [
         ("preference_lists", '{"context":"q","winner":"w","losers":"ab","deltas":[0.5,0.5]}'),
         ("preference_lists", '{"context":"q","winner":"w","losers":[1],"deltas":[0.5]}'),
@@ -423,6 +443,43 @@ class TestMalformedLines:
         path = tmp_path / "lists.jsonl"
         path.write_text("[1, 2]\n")
         assert "JSON object" in _raises_at(read_preference_lists, path, f"{path}:1")
+
+    @pytest.mark.parametrize("field, value, detail", [
+        ("deltas", "12", "list of numbers"),
+        ("deltas", [True], "list of numbers"),
+        ("deltas", [0.5, "1"], "list of numbers"),
+        ("context", 7, "expected an id string, got 7"),
+        ("winner", 7, "expected an id string, got 7"),
+    ])
+    def test_preference_list_field_of_the_wrong_type(self, tmp_path, field, value, detail):
+        obj = {"context": "q", "winner": "w", "losers": ["l", "m"], "deltas": [0.5, 1.0]}
+        path = tmp_path / "lists.jsonl"
+        path.write_text(json.dumps(obj) + "\n" + json.dumps(dict(obj, **{field: value})) + "\n")
+        assert detail in _raises_at(read_preference_lists, path, f"{path}:2")
+
+    def test_preference_list_integer_delta_beyond_float_range(self, tmp_path):
+        path = tmp_path / "lists.jsonl"
+        huge = "1" + "0" * 400
+        path.write_text(f'{{"context":"q","winner":"w","losers":["l"],"deltas":[{huge}]}}\n')
+        _raises_at(read_preference_lists, path, f"{path}:1")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_logprob_that_is_not_finite(self, tmp_path, value):
+        lists = tmp_path / "lists.jsonl"
+        lists.write_text('{"context":"q","winner":"w","losers":["l"],"deltas":[0.5]}\n')
+        path = tmp_path / "logprobs.tsv"
+        path.write_text(f"q\tl\t-1.0\t-1.5\nq\tw\t{value}\t-1.5\n")
+        out = tmp_path / "dpo.tsv"
+        assert "must be finite" in _raises_at(lambda p: cli.main([
+            "dpo-eval", "--lists", str(lists), "--logprobs", p, "--out", str(out)]),
+            str(path), f"{path}:2")
+        assert not out.exists()
+
+    def test_case_context_that_is_not_a_string(self, tmp_path):
+        path = tmp_path / "cases.jsonl"
+        path.write_text('{"context":[1,2,0],"truth":["i1"]}\n')
+        assert "comma-joined SID string" in _raises_at(lambda p: cli._read_cases(p, SCHEME),
+                                                       str(path), f"{path}:1")
 
 
 # spellings that int() reads as a digit but Sid.render never writes
