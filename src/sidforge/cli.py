@@ -40,7 +40,7 @@ from .identity import (
     prompt_fields,
     query_words,
 )
-from .quantizer import encode_batch, fit_codebook, load_codebook, save_codebook
+from .quantizer import RqOpqCodebook, encode_batch, fit_codebook, load_codebook, save_codebook
 from .sidmetrics import cur, drift_report, icr
 from .sids import SidScheme, read_sid_file, read_sid_sequence, write_sid_file
 
@@ -97,9 +97,19 @@ def cmd_fit_codebook(args) -> None:
         write_sid_file(args.sids_out, zip(catalog.ids, codebook.fit_sids))
 
 
+def _load_vectors(path: str | Path, codebook: RqOpqCodebook, codebook_path: str) -> Catalog:
+    """The catalog at ``path``, refused unless its vectors have the
+    codebook's width."""
+    catalog = load_catalog(path)
+    if catalog.dim != codebook.dim:
+        raise ValueError(f"{path}: vectors have dim {catalog.dim}, but codebook "
+                         f"{codebook_path} has dim {codebook.dim}")
+    return catalog
+
+
 def cmd_encode(args) -> None:
     codebook = load_codebook(args.codebook)
-    catalog = load_catalog(args.catalog)
+    catalog = _load_vectors(args.catalog, codebook, args.codebook)
     sids = encode_batch(catalog.matrix, codebook)
     write_sid_file(args.out, zip(catalog.ids, sids))
 
@@ -124,7 +134,7 @@ def cmd_drift(args) -> None:
     batch_paths = sorted(Path(args.batches).glob("*.catalog"))
     if not batch_paths:
         raise SystemExit(f"no *.catalog files under {args.batches}")
-    batches = [load_catalog(p).matrix for p in batch_paths]
+    batches = [_load_vectors(p, codebook, args.codebook).matrix for p in batch_paths]
     steps = drift_report(codebook, baseline, batches, use_opq=not args.rq_only)
     write_records(args.out, itertools.chain(
         [("batch", "size", "cumulative", "icr", "occupied_ratio")],
@@ -378,7 +388,7 @@ def cmd_evaluate(args) -> None:
     ks = _parse_levels(args.k, "--k")
     codebook = load_codebook(args.codebook)
     scorer = _load_scorer(args.scorer, codebook.scheme, f"codebook {args.codebook}")
-    catalog = load_catalog(args.catalog)
+    catalog = _load_vectors(args.catalog, codebook, args.codebook)
     cases = _read_cases(args.cases, codebook.scheme)
     sid_catalog = None
     if args.sids:

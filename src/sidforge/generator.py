@@ -213,6 +213,9 @@ class CooccurrenceScorer:
     def __init__(self, scheme: SidScheme):
         self.scheme = scheme
         self._set_counts({})
+        # the last token-list context and its query digit: every step of a
+        # search passes the same prompt, which is walked once
+        self._prompt_digit: tuple[tuple[str, ...] | None, int] = (None, 0)
 
     @property
     def counts(self) -> Mapping[tuple[int, int, int], Mapping[int, int]]:
@@ -241,7 +244,10 @@ class CooccurrenceScorer:
         if isinstance(context, (tuple, list)) and context and isinstance(context[0], int):
             return int(context[0])
         if isinstance(context, (tuple, list)) and context and isinstance(context[0], str):
-            return parse_prompt(context, self.scheme).query_sid.rq[0]
+            tokens = tuple(context)
+            if tokens != self._prompt_digit[0]:
+                self._prompt_digit = (tokens, parse_prompt(tokens, self.scheme).query_sid.rq[0])
+            return self._prompt_digit[1]
         raise ValueError(f"cannot extract a query digit from context {context!r}")
 
     def score_step(self, context, prefixes: np.ndarray, vocab: int) -> np.ndarray:

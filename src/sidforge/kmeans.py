@@ -107,23 +107,25 @@ def _rounding(reach: np.ndarray | float, terms: float, d: int, dtype: type):
     return terms * (float(info.eps) * reach**2 + (d + 1) * float(info.tiny) * (1.0 + reach))
 
 
-def _folded(points: np.ndarray, table: np.ndarray, rotation: np.ndarray | None):
+def _folded(table: np.ndarray, rotation: np.ndarray | None):
     """The rows ``-2 w_j`` of a (k, d) array (``w_j = R t_j`` for ``R =
-    rotation``, else ``t_j``), the ``||t_j||^2``, each point's reach ``||p||
-    + max(||t_j||, ||w_j||)`` and the terms of its ``_rounding``.
+    rotation``, else ``t_j``), the ``||t_j||^2``, ``max(||t_j||, ||w_j||)``,
+    which a point's norm ``||p||`` extends to its reach, and the terms of its
+    ``_rounding``.
 
     ``||p R - t||^2 - ||p R||^2 = ||t||^2 - 2 p.(R t)`` in every column, so
     ``p`` is labelled without a rotated batch. Rounding ``R t_j`` (s columns
     in R) moves ``2 p.w_j`` by at most ``2 gamma_s ||p|| ||R||_F ||t_j|| <=
     s ||R||_F eps r^2 / 4``, hence ``s ||R||_F`` more terms."""
     table_sq = np.sum(table**2, axis=1)
-    terms = 4.0 * (points.shape[1] + 3)
     cols, widest = table, table_sq.max()
-    if rotation is not None:
+    if rotation is None:
+        terms = 4.0 * (table.shape[1] + 3)
+    else:
         cols = table @ rotation.T
         widest = max(widest, np.sum(cols**2, axis=1).max())
-        terms += rotation.shape[1] * float(np.linalg.norm(rotation))
-    return -2.0 * cols, table_sq, _row_norms(points) + np.sqrt(widest), terms
+        terms = 4.0 * (rotation.shape[0] + 3) + rotation.shape[1] * float(np.linalg.norm(rotation))
+    return -2.0 * cols, table_sq, np.sqrt(widest), terms
 
 
 def _exact_labels(points: np.ndarray, table: np.ndarray, near: np.ndarray,
@@ -170,7 +172,8 @@ def _nearest(points: np.ndarray, table: np.ndarray, rotation: np.ndarray | None
     number of rows ``_exact_labels`` settled. With ``rotation``, the labels
     of ``points @ rotation`` (``_folded``)."""
     n, d = points.shape
-    neg2_cols, table_sq, reach, terms = _folded(points, table, rotation)
+    neg2_cols, table_sq, widest, terms = _folded(table, rotation)
+    reach = _row_norms(points) + widest
     margin = 2.0 * _rounding(reach, terms, d, np.float64)
     idx = np.empty(n, dtype=np.int64)
     dist, second = np.empty(n), np.empty(n)
@@ -198,47 +201,120 @@ def _nearest(points: np.ndarray, table: np.ndarray, rotation: np.ndarray | None
 # range (~3.4e38 = 2^128), so no cast, product or sum overflows.
 _SCREEN_MAX_REACH = 2.0**50
 
+# The screen scores a table of at most this many rows as a (k, rows) block
+# and scans it along its columns, a wider one as (rows, k) along its rows:
+# numpy reduces an axis at a fixed cost per line, so each scan runs the
+# fewer, longer lines. Per 2^18 float32 scores (product and scan, timeit on
+# a 2-vCPU x86 host, OpenBLAS 0.3.31), k = 64 took 0.6 ms by column and
+# 1.0 ms by row; k = 256, 0.5 and 0.4 ms; k = 4,096, 0.7 and 0.3 ms.
+_SCREEN_COLUMN_MAX_K = 128
+
+
+def _column_best_two(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_best_two(scores.T)`` for a (k, rows) block, scanned along its
+    columns, where each row's minimum is unique; ``scores`` is overwritten.
+
+    The label is the float32 dot of the column indices with the row's ``==
+    best`` mask, exact where one entry equals the best; ``einsum`` casts the
+    bool mask in buffered blocks, where ``@`` needed a float32 copy of it
+    (1 MB more ``tracemalloc`` peak per 2^18 scores). Masking the label's
+    entry leaves the runner-up; at a tie it leaves another entry equal to
+    the best, so a tied row's runner-up is its best, and its label, clipped
+    to k - 1, is meaningless."""
+    k, rows = scores.shape
+    best = scores.min(axis=0)
+    labels = np.einsum("k,kr->r", np.arange(k, dtype=np.float32), scores == best).astype(np.int64)
+    np.minimum(labels, k - 1, out=labels)
+    scores[labels, np.arange(rows)] = np.inf
+    return labels, best, scores.min(axis=0)
+
+
+class _Screen:
+    """The float32 screen of one table (under a (d, s) ``rotation``, by
+    ``_folded``'s columns). ``scores`` labels a chunk of float64 rows ``p``,
+    at most ``_CHUNK_ENTRIES // k`` of them; ``bounds`` turns each row's
+    scores into two float64 values ``U`` and ``L``, and ``L > U`` means its
+    label ``c`` is the exact argmin.
+
+    The chunk is cast to float32 into a buffer whose last column is 1 and
+    scored by one product with the float32 columns ``(-2 w_j, ||t_j||^2)``:
+    ``e_j = p.(-2 w_j) + ||t_j||^2`` is within ``E32 = _rounding(r, terms,
+    d, float32)`` of the exact ``D_j - ||p R||^2``, and ``c`` is the argmin
+    of ``e``. With ``q = ||p||^2`` in float64, the runner-up ``e_r = min_{j
+    != c} e_j`` and ``s = (1 + 2^-28) E32``, ``U = q + e_c + s`` and ``L = q
+    + e_r - s``. The float64 rounding of ``q`` (d squares) and of each sum
+    (terms totalling below ``2 r^2 + 2 s``) is below ``(d + 3) eps r^2 + d
+    tiny``, well inside ``E64 = _rounding(r, 4 (d + 3), d, float64)``. Every
+    term of ``E32`` is at least 2^29 times its ``E64`` counterpart, so ``s >=
+    E32 + E64``. So ``L > U`` gives ``e_r - e_c > 2 E32``, and then ``D_j -
+    D_c >= (e_j - E32) - (e_c + E32) > 0`` for every ``j != c``. Without a
+    rotation ``q + e_j`` is within ``E32 + E64`` of ``D_j``, so ``U >= D_c``
+    and ``L <= D_j`` for every ``j != c``: ``BoundedNearest`` keeps them as
+    its bounds.
+
+    Rows are scored only when ``castable``: magnitudes that could leave
+    float32 range are checked before any cast.
+    """
+
+    def __init__(self, table: np.ndarray, rotation: np.ndarray | None) -> None:
+        neg2_cols, table_sq, self._widest, terms = _folded(table, rotation)
+        self._slack_terms = terms * (1.0 + 2.0**-28)
+        self._d = table.shape[1] if rotation is None else rotation.shape[0]
+        self._by_column = table.shape[0] <= _SCREEN_COLUMN_MAX_K
+        self._rows = np.empty((0, 0), dtype=np.float32)
+        if not self._widest < _SCREEN_MAX_REACH:    # then nothing is castable
+            return
+        if self._by_column:
+            self._columns = np.column_stack([neg2_cols, table_sq]).astype(np.float32)
+        else:
+            self._columns = np.vstack([neg2_cols.T, table_sq]).astype(np.float32, order="C")
+
+    def castable(self, norm: float) -> bool:
+        """Whether rows of norm at most ``norm`` may be scored; never on NaN."""
+        return bool(norm + self._widest < _SCREEN_MAX_REACH)
+
+    def scores(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row of a castable chunk: its label, best and runner-up score."""
+        n, d = rows.shape
+        if self._rows.shape[0] < n:                          # reused by every later chunk
+            self._rows = np.empty((n, d + 1), dtype=np.float32)
+            self._rows[:, d] = 1.0
+        block = self._rows[:n]
+        block[:, :d] = rows
+        if self._by_column:
+            return _column_best_two(self._columns @ block.T)
+        return _best_two(block @ self._columns)
+
+    def bounds(self, q: np.ndarray, best: np.ndarray, runner_up: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """``U`` and ``L`` of rows with squared norms ``q`` and these scores."""
+        slack = _rounding(np.sqrt(q) + self._widest, self._slack_terms, self._d, np.float32)
+        return q + best + slack, q + runner_up - slack   # inf - slack when k == 1
+
 
 def nearest_labels(points: np.ndarray, table: np.ndarray,
                    rotation: np.ndarray | None = None) -> np.ndarray:
-    """``nearest(points, table)[0]`` through a float32 screen. With a (d, s)
-    ``rotation``, the labels of ``points @ rotation`` against the (k, s)
-    ``table`` by ``_folded``'s columns; only ``quantizer.descend`` passes one.
-
-    Each chunk of ``_chunk_edges`` rows is cast to float32 alone, into a
-    buffer whose last column is 1, and scored by one product with the
-    float32 columns ``(-2 w_j, ||t_j||^2)``: ``e_j = p.(-2 w_j) + ||t_j||^2``
-    (``||p||^2`` is the same in every column), within ``E32 = _rounding(r,
-    terms, d, float32)`` of ``D_j - ||p||^2``. A row takes the argmin ``c`` of
-    its ``e`` when every other ``e_j > e_c + 2 E32``, as then ``D_j - D_c >=
-    (e_j - E32) - (e_c + E32) > 0``; the call's other rows go to one
-    ``_nearest`` call. The float64 rounding of ``||t||^2``, of the bounds and
-    of the gap is orders of magnitude below the margin.
-
-    Magnitudes that could leave float32 range (checked before any cast) go
-    straight to ``_nearest``. No float32 copy of the whole input is made; no
-    more than ``_CHUNK_ENTRIES`` scores exist at once.
-    """
-    n, d = points.shape
-    neg2_cols, table_sq, reach, terms = _folded(points, table, rotation)
-    if n == 0 or not reach.max() < _SCREEN_MAX_REACH:   # NaN goes to _nearest too
-        return _nearest(points, table, rotation)[0]
-    margin = 2.0 * _rounding(reach, terms, d, np.float32)
-    columns = np.vstack([neg2_cols.T, table_sq]).astype(np.float32, order="C")
-    edges = _chunk_edges(n, table.shape[0])
-    rows = np.empty((max(np.diff(edges)), d + 1), dtype=np.float32)
-    rows[:, d] = 1.0
+    """``nearest(points, table)[0]`` through ``_Screen``, one chunk of
+    ``_chunk_edges`` rows at a time; the rows it leaves in doubt go to one
+    ``_nearest`` call. With a (d, s) ``rotation``, the labels of ``points @
+    rotation`` against the (k, s) ``table`` by ``_folded``'s columns; only
+    ``quantizer.descend`` passes one. No float32 copy of the whole input is
+    made; no more than ``_CHUNK_ENTRIES`` scores exist at once."""
+    n = points.shape[0]
+    screen = _Screen(table, rotation)
+    q = np.einsum("ij,ij->i", points, points)
     labels = np.empty(n, dtype=np.int64)
-    doubt = []
-    for lo, hi in zip(edges, edges[1:]):
-        block = rows[:hi - lo]
-        block[:, :d] = points[lo:hi]
-        labels[lo:hi], best, runner_up = _best_two(block @ columns)
-        gap = np.subtract(runner_up, best, dtype=np.float64)    # inf when k == 1
-        doubt.append(lo + np.flatnonzero(~(gap > margin[lo:hi])))
-    doubt = np.concatenate(doubt)
+    doubt = np.arange(n)
+    if screen.castable(np.sqrt(q.max(initial=0.0))):
+        best, runner_up = np.empty(n, dtype=np.float32), np.empty(n, dtype=np.float32)
+        edges = _chunk_edges(n, table.shape[0])
+        for lo, hi in zip(edges, edges[1:]):
+            labels[lo:hi], best[lo:hi], runner_up[lo:hi] = screen.scores(points[lo:hi])
+        upper, lower = screen.bounds(q, best, runner_up)
+        doubt = np.flatnonzero(~(lower > upper))
     if doubt.size:
-        labels[doubt] = _nearest(points[doubt], table, rotation)[0]
+        rows = points if doubt.size == n else points[doubt]
+        labels[doubt] = _nearest(rows, table, rotation)[0]
     return labels
 
 
@@ -251,7 +327,9 @@ class BoundedNearest:
     lower bound ``l`` on the distance to every other one. A call moves them
     by each centroid's shift, skips a point when ``l - u > sqrt(2E)``,
     otherwise tightens ``u`` to the distance to its own centroid, and sends
-    the points still in doubt to ``_nearest``.
+    the points still in doubt through ``_Screen``, whose sure rows take its
+    ``u = sqrt(U)`` and ``l = sqrt(max(L, 0))``. The rows it leaves in doubt
+    go to ``_nearest``.
 
     Each float64 distance ``d_j`` is within ``E = _rounding(max ||p|| + max
     ||t||, 4 (d + 3), d, float64)`` of the exact ``D_j``. From ``_nearest``'s
@@ -263,7 +341,8 @@ class BoundedNearest:
 
     The bounds hold while the same ``points`` object comes back; another one
     (or ``restart``) starts over with every point. ``full_rows`` counts the
-    points sent to ``_nearest``, ``tie_rows`` those its exact settle labelled.
+    points sent to the screen, ``tie_rows`` those ``_nearest``'s exact
+    settle labelled.
     """
 
     def __init__(self) -> None:
@@ -279,7 +358,8 @@ class BoundedNearest:
         fresh = self._points is not points or self._centroids.shape != centroids.shape
         if fresh:
             self._points = points
-            self._point_norm = float(_row_norms(points).max(initial=0.0))
+            self._sq_norms = np.einsum("ij,ij->i", points, points)
+            self._point_norm = float(np.sqrt(self._sq_norms.max(initial=0.0)))
             self._labels = np.zeros(n, dtype=np.int64)
             self._upper, self._lower = np.empty(n), np.empty(n)
             self._centroids = centroids.copy()
@@ -313,10 +393,23 @@ class BoundedNearest:
 
     def _settle(self, points: np.ndarray, centroids: np.ndarray, doubt: np.ndarray,
                 err: float) -> None:
-        """Labels and fresh bounds for the points in ``doubt``, from ``_nearest``."""
-        edges = _chunk_edges(doubt.size, centroids.shape[0])
+        """Labels and fresh bounds for the points in ``doubt``: from the
+        screen where it is sure, else from ``_nearest``."""
+        screen, sure = _Screen(centroids, None), np.zeros(doubt.size, dtype=bool)
+        if screen.castable(self._point_norm):
+            edges = _chunk_edges(doubt.size, centroids.shape[0])
+            for lo, hi in zip(edges, edges[1:]):
+                ids = doubt[lo:hi]
+                q = self._sq_norms[ids]
+                self._labels[ids], best, runner_up = screen.scores(points[ids])
+                upper, lower = screen.bounds(q, best, runner_up)
+                self._upper[ids] = np.sqrt(upper)
+                self._lower[ids] = np.sqrt(np.maximum(lower, 0.0))
+                sure[lo:hi] = lower > upper
+        rest = doubt[~sure]
+        edges = _chunk_edges(rest.size, centroids.shape[0])
         for lo, hi in zip(edges, edges[1:]):
-            ids = doubt[lo:hi]
+            ids = rest[lo:hi]
             self._labels[ids], dist, second, settled = _nearest(points[ids], centroids, None)
             self._upper[ids] = np.sqrt(dist + err)
             self._lower[ids] = np.sqrt(np.maximum(second - err, 0.0))

@@ -746,6 +746,48 @@ class TestScorerScheme:
         assert not (tmp_path / "eval.tsv").exists()
 
 
+class TestCatalogWidth:
+    """A catalog whose vectors do not fit the codebook is refused with its
+    path and both widths, not inside the encode."""
+
+    @pytest.fixture()
+    def narrow(self, tmp_path):
+        path = tmp_path / "batches" / "narrow.catalog"
+        path.parent.mkdir()
+        save_catalog(Catalog(["n1", "n2"], np.ones((2, 4))), path)
+        return path
+
+    @staticmethod
+    def assert_refused(workspace, narrow, argv):
+        with pytest.raises(ValueError) as info:
+            main(argv)
+        assert str(info.value) == (f"{narrow}: vectors have dim 4, but codebook "
+                                   f"{workspace / 'cb.bin'} has dim 6")
+
+    def test_encode(self, workspace, narrow, tmp_path):
+        self.assert_refused(workspace, narrow, [
+            "encode", "--codebook", str(workspace / "cb.bin"), "--catalog", str(narrow),
+            "--out", str(tmp_path / "never.sids")])
+        assert not (tmp_path / "never.sids").exists()
+
+    def test_drift(self, workspace, narrow, tmp_path):
+        self.assert_refused(workspace, narrow, [
+            "drift", "--codebook", str(workspace / "cb.bin"),
+            "--baseline", str(workspace / "items.sids"), "--batches", str(narrow.parent),
+            "--out", str(tmp_path / "never.tsv")])
+        assert not (tmp_path / "never.tsv").exists()
+
+    def test_evaluate(self, workspace, narrow, tmp_path):
+        cases = tmp_path / "cases.jsonl"
+        context = read_sid_file(workspace / "queries.sids", SCHEME).sids()[0].render()
+        cases.write_text(json.dumps({"context": context, "truth": ["n1"]}) + "\n")
+        self.assert_refused(workspace, narrow, [
+            "evaluate", "--codebook", str(workspace / "cb.bin"),
+            "--scorer", str(TestEvaluateSids()._scorer(workspace)), "--catalog", str(narrow),
+            "--cases", str(cases), "--out", str(tmp_path / "never.tsv")])
+        assert not (tmp_path / "never.tsv").exists()
+
+
 def test_evaluate_with_sids_matches_run_eval_on_fit_sids(tmp_path):
     """Criterion 9 through the CLI: ``evaluate --sids`` ranks against the
     codes ``fit-codebook --sids-out`` wrote, as ``run_eval`` does with the

@@ -327,6 +327,25 @@ class TestCooccurrenceScorer:
         with pytest.raises(ValueError, match="position 3"):
             scorer.score_step(sid(1, 0, 0), np.zeros((1, 3), dtype=np.int64), 2)
 
+    def test_token_list_context_is_walked_once_per_search(self, monkeypatch):
+        from sidforge import identity
+        from sidforge.identity import UserSid, assemble_prompt
+
+        walks, prompt_fields = [], identity.prompt_fields
+        monkeypatch.setattr(identity, "prompt_fields",
+                            lambda tokens, scheme: walks.append(1) or prompt_fields(tokens, scheme))
+        scorer = cooccurrence_fit([(sid(1, 0, 0), sid(2, 1, 1)), (sid(2, 0, 0), sid(0, 2, 0))],
+                                  SCHEME)
+        user = UserSid((0, 0, 0, 0, 0), (1, 1, 1, 0, 0))
+        for query in (sid(1, 0, 0), sid(2, 0, 0)):  # a new prompt is walked again
+            walks.clear()
+            tokens = assemble_prompt(user, "red shoes", query)
+            hits = beam_search(tokens, scorer, beam=4, scheme=SCHEME, constrained=False)
+            assert len(walks) == 1
+            expected = beam_search(query, scorer, beam=4, scheme=SCHEME, constrained=False)
+            assert hits.digits.tolist() == expected.digits.tolist()
+            assert hits.scores.tolist() == expected.scores.tolist()
+
     def test_list_context_changed_between_calls(self):
         scorer = cooccurrence_fit([(sid(1, 0, 0), sid(0, 0, 0))], SCHEME)
         context = [1]

@@ -648,37 +648,71 @@ class TestBoundedNearest:
         n=st.integers(min_value=1, max_value=30),
         k=st.integers(min_value=1, max_value=8),
         distinct=st.integers(min_value=1, max_value=4),
-        kind=st.sampled_from(["grid", "duplicate"]),
+        kind=st.sampled_from(["grid", "duplicate", "random"]),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_bounds_hold_after_every_call(self, n, k, distinct, kind, seed):
-        # after each Lloyd step, upper^2 is at least a point's exact squared
-        # distance to its own centroid and lower^2 at most the one to every
-        # other centroid, in Fractions, up to the bounds' own rounding (a
-        # tightened upper bound is a rounded sqrt): 2^-40 of their squares.
-        # Points 1e-8 off duplicated rows make the float64 distances round
-        # by more than the distances themselves
+        # points 1e-8 off duplicated rows make the float64 distances round by
+        # more than the distances themselves; untied random rows take the
+        # screen's bounds
         rng = np.random.default_rng(seed)
         if kind == "grid":
             points = rng.integers(-2, 3, size=(n, 2)).astype(float)
             table = rng.integers(-2, 3, size=(distinct, 2)).astype(float)
-        else:
+        elif kind == "duplicate":
             table = rng.normal(size=(distinct, 3))
             points = table[rng.integers(distinct, size=n)] + rng.normal(scale=1e-8, size=(n, 3))
+        else:
+            table, points = rng.normal(size=(distinct, 3)), rng.normal(size=(n, 3))
         start = table[rng.integers(distinct, size=k)]
-        step, slack = BoundedNearest(), Fraction(1, 2**40)
+        list(lloyd(points, start, 25, bound_checked(BoundedNearest())))
 
-        def checked(p, c):
-            labels = step(p, c)
-            for i, (point, own) in enumerate(zip(p.tolist(), labels.tolist())):
-                exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(point, row))
-                         for row in c.tolist()]
-                assert Fraction(step._upper[i]) ** 2 * (1 + slack) >= exact.pop(own)
-                if exact:  # the other centroids
-                    assert Fraction(step._lower[i]) ** 2 * (1 - slack) <= min(exact)
-            return labels
+    @pytest.mark.parametrize("entries", [1 << 18, 37 * 23, 1],
+                             ids=["one-chunk", "ragged-chunks", "one-row-chunks"])
+    def test_screened_rows_keep_exact_labels_and_bounds(self, monkeypatch, entries):
+        monkeypatch.setattr(kmeans, "_CHUNK_ENTRIES", entries)
+        rng = np.random.default_rng(43)
+        points = rng.normal(size=(150, 3))
+        reached = count_nearest_rows(monkeypatch)
+        step = BoundedNearest()
+        list(lloyd(points, points[:8] + 0.01, 25, bound_checked(step)))
+        assert sum(reached) < 0.05 * step.full_rows      # the screen settled the rest
 
-        list(lloyd(points, start, 25, checked))
+    def test_points_beyond_the_screen_reach_take_nearest(self, monkeypatch):
+        # reach past _SCREEN_MAX_REACH (2^50 ~ 1.1e15): no row is cast to float32
+        rng = np.random.default_rng(44)
+        points = rng.normal(scale=1e16, size=(150, 3))
+        reached = count_nearest_rows(monkeypatch)
+        step = BoundedNearest()
+        list(lloyd(points, points[:8] * 0.99, 25, bound_checked(step)))
+        assert sum(reached) == step.full_rows > 150
+
+
+def count_nearest_rows(monkeypatch):
+    """A list that grows by the row count of every ``_nearest`` call."""
+    rows, near = [], kmeans._nearest
+    monkeypatch.setattr(kmeans, "_nearest",
+                        lambda p, *args: rows.append(p.shape[0]) or near(p, *args))
+    return rows
+
+
+def bound_checked(step, slack=Fraction(1, 2**40)):
+    """``step`` as a Lloyd assignment that checks each call in ``Fraction``s:
+    every label is the exact argmin, ``upper^2`` is at least a point's exact
+    squared distance to its own centroid and ``lower^2`` at most the one to
+    every other centroid, up to the bounds' own rounding (a tightened upper
+    bound is a rounded sqrt): ``slack`` of their squares."""
+    def checked(p, c):
+        labels = step(p, c)
+        for i, (point, own) in enumerate(zip(p.tolist(), labels.tolist())):
+            exact = [sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(point, row))
+                     for row in c.tolist()]
+            assert own == exact.index(min(exact))
+            assert Fraction(step._upper[i]) ** 2 * (1 + slack) >= exact.pop(own)
+            if exact:  # the other centroids
+                assert Fraction(step._lower[i]) ** 2 * (1 - slack) <= min(exact)
+        return labels
+    return checked
 
 
 def _balanced_cases():
