@@ -52,12 +52,17 @@ def _dist_block(points: np.ndarray, neg2_table: np.ndarray, table_sq: np.ndarray
     return d.T
 
 
-def _sq_row_sums(points: np.ndarray) -> np.ndarray:
-    """``np.sum(points**2, axis=1)``, squared in ``_chunk_edges`` row blocks."""
-    sums = np.empty(points.shape[0])
-    edges = _chunk_edges(*points.shape)
+def _sq_row_sums(points: np.ndarray, centre: np.ndarray | None = None,
+                 rows: np.ndarray | None = None) -> np.ndarray:
+    """``np.sum((points[rows] - centre) ** 2, axis=1)`` (``points ** 2`` when
+    ``centre`` is None, every row when ``rows`` is None), squared in
+    ``_chunk_edges`` row blocks: each row's bits are those of one block."""
+    m = points.shape[0] if rows is None else rows.size
+    sums = np.empty(m)
+    edges = _chunk_edges(m, points.shape[1])
     for lo, hi in zip(edges, edges[1:]):
-        sums[lo:hi] = np.sum(points[lo:hi]**2, axis=1)
+        block = points[lo:hi] if rows is None else points[rows[lo:hi]]
+        sums[lo:hi] = np.sum((block if centre is None else block - centre) ** 2, axis=1)
     return sums
 
 
@@ -134,19 +139,21 @@ def _exact_labels(points: np.ndarray, table: np.ndarray, near: np.ndarray,
     t_j||^2`` (``R`` the identity when ``rotation`` is None) among those its
     row of the bool ``near`` marks, lowest index on a tie. Every float64 is
     a multiple of 2^-1074, so scaled by 2^1074 all values are Python
-    integers, and nothing rounds."""
+    integers, and nothing rounds. Each marked table row is scaled once."""
     def scaled(values: np.ndarray) -> list[int]:
         return [a << (1075 - b.bit_length())
                 for a, b in map(float.as_integer_ratio, values.tolist())]
 
     rot = None if rotation is None else [scaled(col) for col in rotation.T]
+    shift = 0 if rot is None else 1074                 # p R is scaled by 2^2148
+    rows = {j: [b << shift for b in scaled(table[j])] for j in np.flatnonzero(near.any(axis=0))}
     labels = np.empty(points.shape[0], dtype=np.int64)
     for i, point in enumerate(points):
-        p, shift = scaled(point), 0
-        if rot is not None:                            # p R, scaled by 2^2148
-            p, shift = [sum(a * b for a, b in zip(p, col)) for col in rot], 1074
+        p = scaled(point)
+        if rot is not None:
+            p = [sum(a * b for a, b in zip(p, col)) for col in rot]
         cands = np.flatnonzero(near[i])
-        dists = [sum((a - (b << shift)) ** 2 for a, b in zip(p, scaled(table[j]))) for j in cands]
+        dists = [sum((a - b) ** 2 for a, b in zip(p, rows[j])) for j in cands]
         labels[i] = cands[dists.index(min(dists))]
     return labels
 
@@ -177,19 +184,26 @@ def _nearest(points: np.ndarray, table: np.ndarray, rotation: np.ndarray | None
     margin = 2.0 * _rounding(reach, terms, d, np.float64)
     idx = np.empty(n, dtype=np.int64)
     dist, second = np.empty(n), np.empty(n)
-    settled = 0
+    settled, first_copy = 0, None
     edges = _chunk_edges(n, table.shape[0])
     for lo, hi in zip(edges, edges[1:]):
         block = _dist_block(points[lo:hi], neg2_cols, table_sq)
         j, best, runner_up = _best_two(block)
         open_ = np.flatnonzero(~(runner_up - best > margin[lo:hi]))   # none when k == 1
         if open_.size:
+            if first_copy is None:           # rows with no lower identical row
+                first_copy = np.zeros(table.shape[0], dtype=bool)
+                first_copy[np.unique(table, axis=0, return_index=True)[1]] = True
             near = block[open_] <= (best[open_] + margin[lo + open_])[:, None]
-            exact = _exact_labels(points[lo + open_], table, near, rotation)
+            near &= first_copy
+            exact = near.argmax(axis=1)
+            tied = np.flatnonzero(np.count_nonzero(near, axis=1) > 1)
+            if tied.size:
+                exact[tied] = _exact_labels(points[lo + open_[tied]], table, near[tied], rotation)
             # a row moved off its float64 argmin has that column as runner-up
             runner_up[open_] = np.where(exact == j[open_], runner_up[open_], best[open_])
             j[open_] = exact
-            settled += open_.size
+            settled += tied.size
         idx[lo:hi] = j
         dist[lo:hi] = np.maximum(block[np.arange(hi - lo), j], 0.0)
         second[lo:hi] = runner_up
@@ -418,13 +432,52 @@ class BoundedNearest:
 
 
 def kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ initialization; duplicates chosen if k exceeds spread."""
-    n = points.shape[0]
-    chosen, d2 = [int(rng.integers(n))], np.full(n, np.inf)
-    for _ in range(1, k):
-        np.minimum(d2, np.sum((points - points[chosen[-1]]) ** 2, axis=1), out=d2)
+    """Seeded k-means++ initialization; duplicates chosen if k exceeds spread.
+
+    Each point's ``d2`` is the least ``v = np.sum((p - c) ** 2)`` over the
+    chosen centres ``c``, and each later pick is the inverse-CDF lookup that
+    ``rng.choice(n, p=d2 / d2.sum())`` makes, with the same draw. A new
+    centre's ``v`` is computed, in ``_chunk_edges`` row blocks, only for the
+    rows its one product ``g = p.(-2c) + ||c||^2`` leaves open: a row is
+    skipped when ``q + g - E >= d2`` (``q = ||p||^2``; a NaN or inf bound is
+    open), as then ``v >= d2`` and ``np.minimum`` would keep ``d2``.
+
+    With ``r = ||p|| + max ||p|| >= ||p|| + ||c||`` (each centre is one of
+    the points), ``E = _rounding(r, 4 (d + 3), d, float64)`` and ``u = eps /
+    2``: the exact ``D = ||p - c||^2`` is at most ``r^2``. The bound sums the
+    terms of ``q``, ``g`` and ``-E``, each rounded at most ``d + 2`` times,
+    so it exceeds ``D - E`` by at most ``gamma (r^2 + E)`` (``gamma = (d +
+    2) u / (1 - (d + 2) u)``) plus ``3 d u tiny`` lost below the normal
+    range. ``v`` rounds each of its ``d`` squares through a difference, a
+    square and a sum, so ``v >= D - gamma r^2 - 2 d u tiny``. Hence ``v >=
+    bound + (1 - gamma) E - 2 gamma r^2 - 5 d u tiny``, and ``E`` is at least
+    ``8 (d + 3) u r^2 + 4 (d + 3) (d + 1) tiny``, over twice the rest.
+    """
+    n, d = points.shape
+    q = np.einsum("ij,ij->i", points, points)
+    norms = np.sqrt(q)
+    q -= _rounding(norms + norms.max(), 4.0 * (d + 3), d, np.float64)     # q - E
+    first = int(rng.integers(n))
+    chosen, d2 = [first], _sq_row_sums(points, points[first])
+    for i in range(1, k):
         total = float(d2.sum())
-        chosen.append(int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total)))
+        if total <= 0.0:
+            chosen.append(int(rng.integers(n)))
+        else:
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            chosen.append(int(cdf.searchsorted(rng.random(), side="right")))
+        if i == k - 1:
+            break
+        c = points[chosen[-1]]
+        bound = points @ (-2.0 * c)
+        bound += q
+        bound += c @ c
+        open_ = np.flatnonzero(~((bound >= d2) & (bound < np.inf)))
+        if open_.size == n:
+            np.minimum(d2, _sq_row_sums(points, c), out=d2)
+        elif open_.size:
+            d2[open_] = np.minimum(d2[open_], _sq_row_sums(points, c, open_))
     return points[chosen]
 
 

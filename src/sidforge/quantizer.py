@@ -196,6 +196,11 @@ def _mean_sq_error(X: np.ndarray, rotation: np.ndarray, Y: np.ndarray) -> float:
     return float(np.mean(np.sum(err, axis=1)))
 
 
+# Lloyd iterations of each warm round after the first, as FAISS's
+# OPQMatrix.niter_pq: the tables start where the last round left them
+_WARM_ITERS = 4
+
+
 def opq_fit(
     residuals: np.ndarray,
     subspaces: int = 2,
@@ -208,8 +213,11 @@ def opq_fit(
 
     ``outer_iters`` counts rotation updates; a final code fit always runs,
     so 0 gives plain product quantization under the identity rotation.
-    Inner k-means is warm-started between rounds, which keeps the
-    reconstruction error non-increasing over outer iterations.
+    ``kmeans_iters`` caps the seeded k-means of the first round; every
+    later round warm-starts Lloyd from the last round's tables for at most
+    ``min(kmeans_iters, _WARM_ITERS)`` iterations. Neither a Lloyd step nor
+    a Procrustes step raises the reconstruction error, so it is
+    non-increasing over outer iterations for any count of at least one.
     """
     X = float_rows(residuals, "residual")
     n, d = X.shape
@@ -232,7 +240,7 @@ def opq_fit(
                                          seed=seed + s).centroids)
                 codes.append(nearest_labels(b, tables[s]))
             else:
-                tables[s], labels = _warm_lloyd(b, tables[s], kmeans_iters)
+                tables[s], labels = _warm_lloyd(b, tables[s], min(kmeans_iters, _WARM_ITERS))
                 codes.append(labels)
             del b
         Y = np.concatenate([t[c] for t, c in zip(tables, codes)], axis=1)

@@ -300,10 +300,23 @@ class TestNearestLabels:
         table = rng.normal(scale=10.0, size=(512, 8))
         table[500:510] = table[:10]
         points = table[rng.integers(500, size=900)] + rng.normal(scale=0.01, size=(900, 8))
-        settled = count_settled(monkeypatch)
+        reached, settled = count_nearest_rows(monkeypatch), count_settled(monkeypatch)
         labels = nearest_labels(points, table)
-        assert sum(settled) == np.count_nonzero(labels < 10) > 0
+        assert sum(reached) == np.count_nonzero(labels < 10) > 0
+        assert sum(settled) == 0              # each tie is between identical rows
         assert np.array_equal(labels, nearest(points, table)[0])
+
+    def test_repeated_rows_need_no_integer_settle(self, monkeypatch):
+        # every row twice: each point ties two identical rows, and the lower
+        # one is its label without any integer arithmetic
+        rng = np.random.default_rng(53)
+        distinct = rng.normal(size=(512, 32))
+        table = np.concatenate([distinct, distinct])
+        points = distinct[rng.integers(512, size=5000)] + rng.normal(scale=0.3, size=(5000, 32))
+        settled = count_settled(monkeypatch)
+        assert np.array_equal(nearest_labels(points, table), nearest(points, distinct)[0])
+        assert np.array_equal(nearest(points, table)[0], nearest(points, distinct)[0])
+        assert sum(settled) == 0
 
     def test_clear_rows_compute_no_float64_distances(self, monkeypatch):
         rng = np.random.default_rng(51)
@@ -426,16 +439,30 @@ class TestKmeansppSeed:
         d=st.integers(min_value=1, max_value=40),
         k=st.integers(min_value=1, max_value=40),
         distinct=st.integers(min_value=1, max_value=50),
-        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        scale=st.sampled_from([1e-150, 1.0, 1e150, "offset"]),
         seed=st.integers(min_value=0, max_value=10_000),
     )
     def test_equals_fresh_array_seeding_bit_for_bit(self, n, d, k, distinct, scale, seed):
-        # duplicate points, and often k above the number of distinct points
+        # duplicate points, and often k above the number of distinct points;
+        # "offset" points sit far from the origin, where ||p||^2 - 2 p.c +
+        # ||c||^2 cancels and only the screen's error term keeps it sound
         rng = np.random.default_rng(seed)
-        points = rng.normal(scale=scale, size=(distinct, d))[rng.integers(distinct, size=n)]
+        if scale == "offset":
+            base = 1e8 + rng.normal(size=(distinct, d))
+        else:
+            base = rng.normal(scale=scale, size=(distinct, d))
+        points = base[rng.integers(distinct, size=n)]
         got = kmeanspp_seed(points, k, np.random.default_rng(seed))
         expected = fresh_array_seed(points, k, np.random.default_rng(seed))
         assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_identical_points_draw_uniformly(self, k):
+        # every d2 is 0, so each pick after the first is rng.integers(n)
+        points = np.full((40, 3), 2.5)
+        got = kmeanspp_seed(points, k, np.random.default_rng(8))
+        assert got.tobytes() == fresh_array_seed(points, k, np.random.default_rng(8)).tobytes()
+        assert got.shape == (k, 3)
 
 
 class TestLloyd:
@@ -617,8 +644,11 @@ class TestBoundedNearest:
 
     @pytest.mark.parametrize("d, k", [(33, 597), (4, 37)])
     def test_duplicate_centroids_take_near_ties_from_exact_rows(self, monkeypatch, d, k):
+        # half the repeats one ulp apart: those near ties need exact rows
         rng = np.random.default_rng(d + k)
         points, table = tied_table(rng, k, d, max(1, k // 3))
+        nudged = rng.random(k) < 0.5
+        table[nudged] = np.nextafter(table[nudged], np.inf)
         settled = count_settled(monkeypatch)
         step = BoundedNearest()
         labels = step(points, table)
@@ -639,8 +669,10 @@ class TestBoundedNearest:
         points = rng.integers(-2, 3, size=(n, 2)).astype(float)
         grid = rng.integers(-2, 3, size=(distinct, 2)).astype(float)
         start = np.concatenate([points[:1], grid[rng.integers(distinct, size=k)], points[:1]])
-        step, _ = assert_same_lloyd(points, start)
-        assert step.tie_rows > 0
+        with pytest.MonkeyPatch.context() as mp:
+            reached = count_nearest_rows(mp)
+            assert_same_lloyd(points, start)
+        assert sum(reached) > 0
         assert_same_fit(points, k + 2, seed=seed)
 
     @settings(max_examples=60, deadline=None)
@@ -793,11 +825,11 @@ class TestBalancedFitGolden:
         assert h.hexdigest() == GOLDEN_BALANCED_FIT
 
 
-# sha256 of a warm-heavy OPQ fit (twelve warm Lloyd runs of 4 to 24
-# iterations) and of an 18-iteration kmeans_fit, recorded with every label
-# from nearest; they hash float64 bytes, so a BLAS that rounds products
-# differently changes them
-GOLDEN_OPQ_FIT = "a8c8ed33acdf6c2cf7f521d529901d1ff0eb05efe3f9aef5b6b94e1d6aebad11"
+# sha256 of a warm-heavy OPQ fit (twelve warm Lloyd runs, each stopped at
+# the 4-iteration warm cap) and of an 18-iteration kmeans_fit, recorded with
+# every label from nearest; they hash float64 bytes, so a BLAS that rounds
+# products differently changes them
+GOLDEN_OPQ_FIT = "401795999b65e9b35a7f89abf3d4aec3fa3132885478d3cef5dee5f706ba3258"
 GOLDEN_KMEANS_FIT = "e9554b349680877a20dfaa769c8af9902e53805ca4d28a9d30064a142da0f770"
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import descend_oracle
 from sidforge import kmeans, quantizer
@@ -134,6 +135,56 @@ class TestOpqFit:
         _, stats = opq_fit(rng.normal(size=(50, 6)), 3, 4, outer_iters=8, seed=5)
         errs = stats["mean_sq_error_per_outer_iter"]
         assert all(b <= a + 1e-9 for a, b in zip(errs, errs[1:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        dsub=st.integers(min_value=1, max_value=4),
+        subspaces=st.integers(min_value=1, max_value=3),
+        codes=st.integers(min_value=1, max_value=12),
+        outer_iters=st.integers(min_value=0, max_value=5),
+        kmeans_iters=st.integers(min_value=1, max_value=6),
+        kind=st.sampled_from(["clustered", "random", "duplicate"]),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_error_non_increasing_on_random_shapes(self, n, dsub, subspaces, codes, outer_iters,
+                                                   kmeans_iters, kind, seed):
+        rng = np.random.default_rng(seed)
+        d = dsub * subspaces
+        if kind == "clustered":
+            centers = rng.normal(scale=4.0, size=(6, d))
+            X = centers[rng.integers(6, size=n)] + rng.normal(size=(n, d))
+        else:
+            X = rng.normal(size=(n, d))
+            if kind == "duplicate":
+                X = X[rng.integers(max(1, n // 4), size=n)]
+        _, stats = opq_fit(X, subspaces, codes, outer_iters=outer_iters, seed=seed,
+                           kmeans_iters=kmeans_iters)
+        errs = stats["mean_sq_error_per_outer_iter"]
+        assert len(errs) == outer_iters + 1
+        # exact arithmetic never raises it; float64 may, by rounding alone
+        noise = 1e-12 * float(np.mean(np.sum(X**2, axis=1)))
+        assert all(b <= a + noise for a, b in zip(errs, errs[1:])), errs
+
+    @pytest.mark.parametrize("kmeans_iters", [1, 3, 25])
+    def test_warm_rounds_run_at_most_four_iterations(self, monkeypatch, kmeans_iters):
+        # the first round's seeded k-means runs kmeans.lloyd; every later
+        # round's warm Lloyd runs quantizer.lloyd, counted here
+        runs, warm = [], quantizer.lloyd
+
+        def counted(points, table, iters, assign):
+            runs.append(0)
+            for step in warm(points, table, iters, assign):
+                runs[-1] += 1
+                yield step
+
+        monkeypatch.setattr(quantizer, "lloyd", counted)
+        rng = np.random.default_rng(12)
+        centers = rng.normal(scale=3.0, size=(30, 8))
+        X = centers[rng.integers(30, size=2000)] + rng.normal(size=(2000, 8))
+        opq_fit(X, 2, 32, outer_iters=4, seed=3, kmeans_iters=kmeans_iters)
+        assert len(runs) == 4 * 2
+        assert max(runs) == min(kmeans_iters, quantizer._WARM_ITERS) == min(kmeans_iters, 4)
 
     def test_rotation_orthonormal(self):
         rng = np.random.default_rng(6)
@@ -324,13 +375,14 @@ class TestScreenedDescend:
         self._fallback_rows(monkeypatch, cb, vecs)
 
     def test_tied_codes_equal_the_oracle(self, monkeypatch):
-        # every level repeats its first rows: points on them tie exactly
+        # every level repeats its first rows: points on them tie exactly, and
+        # the lower of two identical rows wins without integer arithmetic
         rng = np.random.default_rng(62)
         cb = paper_codebook(rng)
         for table in cb.rq.levels:
             table[-40:] = table[:40]
         vecs = np.sum([t[rng.integers(40, size=1500)] for t in cb.rq.levels], axis=0)
-        assert self._fallback_rows(monkeypatch, cb, vecs) >= 1500
+        assert self._fallback_rows(monkeypatch, cb, vecs) == 0
 
 
 class TestNonFiniteRejected:
